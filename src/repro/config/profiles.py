@@ -28,7 +28,9 @@ datasets reproducible and the temporal analysis meaningful.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,12 +77,26 @@ class ConfigContext:
     cdma_bands: tuple[int, ...] = ()
 
 
+@lru_cache(maxsize=None)
+def _cdf(weights: tuple) -> tuple[float, ...]:
+    """Normalized cumulative weights, computed as ``Generator.choice`` does."""
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
 def _draw(rng: np.random.Generator, table: dict) -> object:
-    """Weighted draw from a {value: weight} table (deterministic order)."""
-    values = list(table.keys())
-    weights = np.array([table[v] for v in values], dtype=float)
-    weights /= weights.sum()
-    return values[int(rng.choice(len(values), p=weights))]
+    """Weighted draw from a {value: weight} table (deterministic order).
+
+    Bit-identical to ``rng.choice(len(table), p=normalized_weights)``:
+    one ``rng.random()`` uniform, located in the table's cumulative
+    weights with ``side="right"``.  The CDF is computed once per
+    distinct weight sequence instead of on every draw.
+    """
+    index = bisect_right(_cdf(tuple(table.values())), rng.random())
+    return list(table)[index]
 
 
 @dataclass(frozen=True)
@@ -555,7 +571,7 @@ class CarrierProfile:
     def observed_lte_config(
         self,
         cell: Cell,
-        context: ConfigContext,
+        base: LteCellConfig,
         obs_rng: np.random.Generator,
         days_since_first: float = 0.0,
     ) -> LteCellConfig:
@@ -565,8 +581,11 @@ class CarrierProfile:
         change rarely (probability scaled from ``idle_churn_180d`` by the
         elapsed time), while measConfig content varies observation to
         observation with ``active_churn``.
+
+        ``base`` is the cell's ``lte_config(cell, context)``, which the
+        caller synthesizes once and reuses across observations; it draws
+        only from per-cell generators, never from ``obs_rng``.
         """
-        base = self.lte_config(cell, context)
         serving = base.serving
         # Idle-state churn is an *event on the cell's timeline*, not an
         # observation effect: version the configuration per 90-day epoch

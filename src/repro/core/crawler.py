@@ -76,7 +76,12 @@ class CellConfigSnapshot:
     def to_config_samples(
         self, observed_day: float = 0.0, round_index: int = 0
     ) -> list[ConfigSample]:
-        """Flatten into dataset-D2 records."""
+        """Flatten into dataset-D2 records.
+
+        List-valued parameters become tuples, the form ``ConfigSample.
+        from_json`` reloads, so a built sample is hashable and equal to
+        its saved-and-reloaded copy (JSON writes both as arrays).
+        """
         return [
             ConfigSample(
                 carrier=self.carrier,
@@ -85,7 +90,7 @@ class CellConfigSnapshot:
                 channel=self.channel,
                 city=self.city,
                 parameter=name,
-                value=list(value) if isinstance(value, tuple) else value,
+                value=tuple(value) if isinstance(value, list) else value,
                 observed_day=observed_day,
                 round_index=round_index,
             )

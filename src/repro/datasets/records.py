@@ -9,7 +9,11 @@ context and the performance series around it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+
+#: Compact JSON encoder shared by every row; ``json.dumps`` would build
+#: a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -23,7 +27,7 @@ class ConfigSample:
         channel: The cell's channel number.
         city: City where the observation was made.
         parameter: Registry parameter name.
-        value: Observed value (scalar, or list for list parameters).
+        value: Observed value (scalar, or tuple for list parameters).
         observed_day: Collection day (days since the study epoch).
         round_index: Which collection round/session produced it.
     """
@@ -39,7 +43,10 @@ class ConfigSample:
     round_index: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        # The bytes of ``json.dumps(asdict(self), ...)`` without the deep
+        # copy.  Not ``vars(self)``: that would give every saved sample
+        # its own ``__dict__`` for as long as it lives.
+        return _ENCODER.encode({name: getattr(self, name) for name in _SAMPLE_FIELDS})
 
     @classmethod
     def from_json(cls, line: str) -> "ConfigSample":
@@ -54,6 +61,9 @@ class ConfigSample:
         if isinstance(self.value, list):
             return tuple(self.value)
         return self.value
+
+
+_SAMPLE_FIELDS = tuple(f.name for f in fields(ConfigSample))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ paper's analyses are all full-population statistics (distributions,
 diversity indices, CDFs), so the useful operations are filtering and
 grouping, not point lookup.  Two concessions to scale:
 
-* ``ConfigSampleStore`` keeps a lazy per-parameter index so the hot
-  per-parameter reads (``unique_values``, ``samples_per_cell``,
-  ``parameters``) stop rescanning millions of rows on every call; the
-  index is invalidated on any mutation and rebuilt on demand.
+* ``ConfigSampleStore`` keeps lazy per-attribute indexes (parameter,
+  carrier, RAT) so the hot reads (``for_parameter``, ``for_carrier``,
+  ``for_rat``, ``unique_values``, ``samples_per_cell``, ``parameters``)
+  stop rescanning millions of rows on every call.  Each index maps an
+  attribute value to its samples in store order; all are dropped on
+  any mutation and each is rebuilt on its next read.
 * ``ingest`` consumes an *iterator* of row batches, which is how the
   pipelined builders stream a harvest in without ever materializing
   the full archive, and ``save`` writes atomically (temp file +
@@ -56,21 +58,21 @@ class ConfigSampleStore:
 
     def __init__(self, samples: Iterable[ConfigSample] = ()):
         self._samples: list[ConfigSample] = list(samples)
-        self._by_parameter: dict[str, list[ConfigSample]] | None = None
+        self._indexes: dict[str, dict[object, list[ConfigSample]]] = {}
 
     def add(self, sample: ConfigSample) -> None:
         self._samples.append(sample)
-        self._by_parameter = None
+        self._indexes = {}
 
     def extend(self, samples: Iterable[ConfigSample]) -> None:
         # Invalidate in a finally: ``list.extend`` keeps the elements it
         # consumed before a mid-iteration exception, so bailing out
-        # before the invalidation would leave a stale index over a
+        # before the invalidation would leave stale indexes over a
         # mutated sample list.
         try:
             self._samples.extend(samples)
         finally:
-            self._by_parameter = None
+            self._indexes = {}
 
     def ingest(self, batches: Iterable[Iterable[ConfigSample]]) -> int:
         """Stream batches of samples in (one batch per work unit).
@@ -84,7 +86,7 @@ class ConfigSampleStore:
             for batch in batches:
                 self._samples.extend(batch)
         finally:
-            self._by_parameter = None
+            self._indexes = {}
         return len(self._samples) - before
 
     def __len__(self) -> int:
@@ -93,27 +95,29 @@ class ConfigSampleStore:
     def __iter__(self) -> Iterator[ConfigSample]:
         return iter(self._samples)
 
-    def _parameter_index(self) -> dict[str, list[ConfigSample]]:
-        """Samples grouped by parameter name (rebuilt after mutations)."""
-        if self._by_parameter is None:
-            index: dict[str, list[ConfigSample]] = defaultdict(list)
+    def _index(self, attribute: str) -> dict[object, list[ConfigSample]]:
+        """Samples grouped by one attribute, in store order (rebuilt
+        after mutations)."""
+        index = self._indexes.get(attribute)
+        if index is None:
+            groups: dict[object, list[ConfigSample]] = defaultdict(list)
             for sample in self._samples:
-                index[sample.parameter].append(sample)
-            self._by_parameter = dict(index)
-        return self._by_parameter
+                groups[getattr(sample, attribute)].append(sample)
+            index = self._indexes[attribute] = dict(groups)
+        return index
 
     def filter(self, predicate: Callable[[ConfigSample], bool]) -> "ConfigSampleStore":
         """A new store holding only samples matching ``predicate``."""
         return ConfigSampleStore(s for s in self._samples if predicate(s))
 
     def for_carrier(self, carrier: str) -> "ConfigSampleStore":
-        return self.filter(lambda s: s.carrier == carrier)
+        return ConfigSampleStore(self._index("carrier").get(carrier, ()))
 
     def for_rat(self, rat: str) -> "ConfigSampleStore":
-        return self.filter(lambda s: s.rat == rat)
+        return ConfigSampleStore(self._index("rat").get(rat, ()))
 
     def for_parameter(self, parameter: str) -> "ConfigSampleStore":
-        return ConfigSampleStore(self._parameter_index().get(parameter, ()))
+        return ConfigSampleStore(self._index("parameter").get(parameter, ()))
 
     def for_city(self, city: str) -> "ConfigSampleStore":
         return self.filter(lambda s: s.city == city)
@@ -124,7 +128,7 @@ class ConfigSampleStore:
 
     def parameters(self) -> list[str]:
         """Distinct parameter names, sorted."""
-        return sorted(self._parameter_index())
+        return sorted(self._index("parameter"))
 
     def unique_values(
         self, parameter: str, deduplicate_cells: bool = True
@@ -135,7 +139,7 @@ class ConfigSampleStore:
         samples, so as not to tip distributions in favor of cells with
         many same samples"), each (cell, value) pair counts once.
         """
-        samples = self._parameter_index().get(parameter, ())
+        samples = self._index("parameter").get(parameter, ())
         if deduplicate_cells:
             seen = {(s.carrier, s.gci, s.value_key): s.value_key for s in samples}
             return list(seen.values())
@@ -153,7 +157,7 @@ class ConfigSampleStore:
     def samples_per_cell(self, parameter: str) -> dict[tuple[str, int], int]:
         """How many samples each cell contributed for one parameter."""
         counts: dict[tuple[str, int], int] = defaultdict(int)
-        for s in self._parameter_index().get(parameter, ()):
+        for s in self._index("parameter").get(parameter, ()):
             counts[(s.carrier, s.gci)] += 1
         return dict(counts)
 

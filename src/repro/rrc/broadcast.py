@@ -85,10 +85,14 @@ class ConfigServer:
     def observed_lte_config(
         self, cell: Cell, obs_rng: np.random.Generator, days_since_first: float = 0.0
     ) -> LteCellConfig:
-        """One observation of an LTE cell's configuration (may churn)."""
+        """One observation of an LTE cell's configuration (may churn).
+
+        Built on the cached base configuration, so a re-observed cell is
+        not synthesized again.
+        """
         profile = profile_for_carrier(cell.carrier, seed=self.seed)
         return profile.observed_lte_config(
-            cell, self.context_for(cell), obs_rng, days_since_first=days_since_first
+            cell, self.lte_config(cell), obs_rng, days_since_first=days_since_first
         )
 
     def sib_messages(

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.cellnet.cell import Cell, CellId
 from repro.cellnet.geo import Point
@@ -12,6 +13,7 @@ from repro.config.events import EventType
 from repro.config.profiles import (
     CARRIER_STYLES,
     ConfigContext,
+    _draw,
     profile_for_carrier,
 )
 from repro.config.validation import validate_config
@@ -194,9 +196,10 @@ def test_observed_config_active_churn():
 def test_observed_idle_config_stable_within_epoch():
     profile = profile_for_carrier("A")
     cell = _cell(42)
+    base = profile.lte_config(cell, CTX)
     rng = np.random.default_rng(3)
-    a = profile.observed_lte_config(cell, CTX, rng, days_since_first=10.0)
-    b = profile.observed_lte_config(cell, CTX, rng, days_since_first=60.0)
+    a = profile.observed_lte_config(cell, base, rng, days_since_first=10.0)
+    b = profile.observed_lte_config(cell, base, rng, days_since_first=60.0)
     assert a.serving == b.serving  # same 90-day epoch
 
 
@@ -222,3 +225,31 @@ def test_thresh_x_low_rides_above_serving_low():
 def test_styles_exist_for_named_carriers():
     for acronym in ("A", "T", "V", "S", "CM", "SK", "MO", "CH", "CW"):
         assert acronym in CARRIER_STYLES
+
+
+def _choice_draw(rng, table):
+    """The draw as ``Generator.choice`` makes it: the reference for
+    ``_draw``'s precomputed CDFs."""
+    values = list(table.keys())
+    weights = np.array([table[v] for v in values], dtype=float)
+    weights /= weights.sum()
+    return values[int(rng.choice(len(values), p=weights))]
+
+
+_weight_tables = st.dictionaries(
+    st.one_of(st.integers(-200, 200), st.floats(-150.0, 150.0), st.text(max_size=3)),
+    st.one_of(st.integers(0, 20), st.floats(0.0, 50.0)),
+    min_size=1,
+    max_size=8,
+).filter(lambda table: sum(table.values()) > 0)
+
+
+@seed(2018)
+@settings(max_examples=300, deadline=None)
+@given(table=_weight_tables, rng_seed=st.integers(0, 2**32 - 1))
+def test_draw_matches_generator_choice(table, rng_seed):
+    ours, oracle = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    for _ in range(20):
+        drawn, expected = _draw(ours, table), _choice_draw(oracle, table)
+        assert drawn == expected and type(drawn) is type(expected)
+    assert ours.bit_generator.state == oracle.bit_generator.state

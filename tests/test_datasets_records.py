@@ -1,5 +1,10 @@
 """Tests for dataset record types."""
 
+import json
+from dataclasses import asdict
+
+import pytest
+
 from repro.datasets.records import ConfigSample, HandoffInstance
 
 
@@ -19,6 +24,17 @@ def test_config_sample_list_value_roundtrip():
     rebuilt = ConfigSample.from_json(sample.to_json())
     assert rebuilt.value == (128, 190)
     assert rebuilt.value_key == (128, 190)
+
+
+@pytest.mark.parametrize(
+    "value", [23, -3.5, 1e-7, "A3", None, True, (128, 190), [128, 190], (), (-1.5, 2)]
+)
+def test_config_sample_to_json_matches_asdict_dumps(value):
+    sample = ConfigSample(
+        carrier="T", gci=2**40, rat="LTE", channel=9820, city="São Paulo",
+        parameter="p", value=value, observed_day=120.5, round_index=2,
+    )
+    assert sample.to_json() == json.dumps(asdict(sample), separators=(",", ":"))
 
 
 def test_value_key_hashable():

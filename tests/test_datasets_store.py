@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets.d2 import D2Options, build_d2
 from repro.datasets.records import ConfigSample, HandoffInstance
 from repro.datasets.store import ConfigSampleStore, HandoffInstanceStore
 
@@ -222,6 +223,67 @@ def test_parameter_index_invalidated_when_mutation_raises():
     with pytest.raises(RuntimeError):
         store.ingest(exploding_batches())
     assert store.samples_per_cell("p_max") == {("A", 2): 1, ("A", 3): 1}
+
+
+def _mixed_store():
+    return ConfigSampleStore([
+        _sample(carrier="A", gci=1),
+        _sample(carrier="T", gci=1, rat="UMTS"),
+        _sample(carrier="A", gci=2, parameter="p_max", value=23),
+        _sample(carrier="S", gci=5, rat="UMTS", parameter="p_max", value=21),
+    ])
+
+
+def _assert_slices_match_scan(store):
+    for carrier in ("A", "S", "T", "missing"):
+        assert list(store.for_carrier(carrier)) == list(
+            store.filter(lambda s: s.carrier == carrier)
+        )
+    for rat in ("LTE", "UMTS", "GSM"):
+        assert list(store.for_rat(rat)) == list(store.filter(lambda s: s.rat == rat))
+
+
+def _exploding(samples):
+    yield from samples
+    raise RuntimeError("source died")
+
+
+_MUTATIONS = {
+    "add": lambda store, new: store.add(new[0]),
+    "extend": lambda store, new: store.extend(new),
+    "ingest": lambda store, new: store.ingest([new[:1], new[1:]]),
+    "extend-raises": lambda store, new: store.extend(_exploding(new)),
+    "ingest-raises": lambda store, new: store.ingest(_exploding([new])),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_carrier_and_rat_indexes_invalidated_on_mutation(mutation):
+    store = _mixed_store()
+    _assert_slices_match_scan(store)  # builds both indexes
+    new = [
+        _sample(carrier="T", gci=9, rat="GSM", parameter="p_max", value=5),
+        _sample(carrier="A", gci=3, rat="UMTS"),
+    ]
+    if mutation.endswith("-raises"):
+        with pytest.raises(RuntimeError):
+            _MUTATIONS[mutation](store, new)
+    else:
+        _MUTATIONS[mutation](store, new)
+    assert len(store) > 4  # the consumed samples landed
+    _assert_slices_match_scan(store)
+
+
+def test_built_store_roundtrips_equal_and_hashable(tmp_path):
+    """Built samples hold tuples, as reloaded ones do, so a built store
+    equals its save/load round trip and every sample hashes."""
+    store = build_d2(D2Options(n_volunteers=1, include_dense=False)).store
+    assert any(isinstance(s.value, tuple) for s in store)
+    path = tmp_path / "d2.jsonl"
+    store.save(path)
+    loaded = ConfigSampleStore.load(path)
+    assert list(loaded) == list(store)
+    assert len({hash(s) for s in store}) > 1
 
 
 # -- iterator ingest ----------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cellnet.rat import RAT
+from repro.config.profiles import profile_for_carrier
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.messages import LegacySystemInfo, Sib1, Sib3, Sib4, Sib5
 
@@ -77,3 +78,27 @@ def test_config_consistency_between_sibs_and_lte_config(server, lte_cell):
     config = server.lte_config(lte_cell)
     sib3 = next(s for s in sibs if isinstance(s, Sib3))
     assert sib3.config == config.serving
+
+
+@pytest.mark.parametrize("days", [0.0, 89.9, 90.0, 180.0, 3600.0])
+def test_observed_config_equals_unmemoized_profile(server, scenario, days):
+    """Building observations on the server's cached base config changes
+    neither the observation nor how far ``obs_rng`` advances."""
+    cells = [
+        c for c in scenario.plan.registry.by_carrier("A") if c.rat is RAT.LTE
+    ][:12]
+    profile = profile_for_carrier("A", seed=server.seed)
+    churned = 0
+    for cell in cells:
+        memo_rng, plain_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            memo = server.observed_lte_config(cell, memo_rng, days_since_first=days)
+            plain = profile.observed_lte_config(
+                cell, profile.lte_config(cell, server.context_for(cell)), plain_rng,
+                days_since_first=days,
+            )
+            assert memo == plain
+        assert memo_rng.bit_generator.state == plain_rng.bit_generator.state
+        churned += memo.serving != server.lte_config(cell).serving
+    if days >= 3600.0:
+        assert churned  # the idle-churn branch was exercised
