@@ -4,9 +4,9 @@ verification" (Section 6) over a crawled carrier network.
 
 Crawls one carrier's cells through the full device-side pipeline (SIB
 broadcasts -> diag log -> crawler) and audits the recovered
-configurations for the paper's problem patterns: negative A3 offsets,
-permissive/inverted A5 pairs, premature or late measurement thresholds,
-priority conflicts and priority loops.
+configurations with :mod:`repro.lint` for the paper's problem patterns:
+negative A3 offsets, permissive/inverted A5 pairs, premature or late
+measurement thresholds, priority conflicts and priority loops.
 
 Run:
     python examples/configuration_audit.py [carrier]
@@ -16,8 +16,8 @@ import sys
 from collections import Counter
 
 from repro.cellnet.rat import RAT
-from repro.core.analysis.verification import audit_snapshots, summarize
 from repro.core.crawler import ConfigCrawler
+from repro.lint import lint_snapshots, summarize
 from repro.rrc.diag import DiagWriter
 from repro.simulate import drive_scenario
 
@@ -43,7 +43,7 @@ def main(carrier: str = "A") -> None:
           f"({len(writer.getvalue()):,} bytes of signaling)")
 
     print("auditing...")
-    findings = audit_snapshots(snapshots)
+    findings = lint_snapshots(snapshots).findings
     summary = summarize(findings)
     severities = Counter(f.severity for f in findings)
     print(f"  {len(findings)} findings "

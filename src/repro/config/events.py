@@ -274,21 +274,3 @@ def entry_mask_batch(
         serving_ok = serving + hys < config.threshold1
         return serving_ok[:, None] & (neighbors - hys > config.threshold2)
     raise NotImplementedError(f"event {e.value} has no neighbor entry mask")
-
-
-def leave_mask(
-    config: EventConfig, serving: float | None, neighbors: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`evaluate_leave` over a neighbor-value array."""
-    e, hys = config.event, config.hysteresis
-    if e in (EventType.A3, EventType.A6):
-        if serving is None:
-            return np.ones(len(neighbors), dtype=bool)
-        return neighbors + hys < serving + config.offset
-    if e in (EventType.A4, EventType.B1):
-        return neighbors + hys < config.threshold1
-    if e in (EventType.A5, EventType.B2):
-        if serving is None or serving - hys > config.threshold1:
-            return np.ones(len(neighbors), dtype=bool)
-        return neighbors + hys < config.threshold2
-    raise NotImplementedError(f"event {e.value} has no neighbor leave mask")

@@ -54,7 +54,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Protocol, Sequence, TypeVar
 
 from repro.config.events import EventConfig, EventType
 from repro.config.lte import LteCellConfig
@@ -520,15 +520,23 @@ def build_components(
 # Cycle enumeration and feasibility
 
 
-def _strongly_connected(
-    adjacency: dict[LayerRef, set[LayerRef]]
-) -> list[list[LayerRef]]:
-    """Iterative Tarjan SCC, deterministic via sorted iteration."""
-    index: dict[LayerRef, int] = {}
-    lowlink: dict[LayerRef, int] = {}
-    on_stack: set[LayerRef] = set()
-    stack: list[LayerRef] = []
-    components: list[list[LayerRef]] = []
+class _Ordered(Protocol):
+    def __lt__(self, other: Any, /) -> bool: ...
+
+
+_Node = TypeVar("_Node", bound=_Ordered)
+
+
+def strongly_connected(adjacency: dict[_Node, set[_Node]]) -> list[list[_Node]]:
+    """Iterative Tarjan SCC, deterministic via sorted iteration.
+
+    Nodes are any sortable type: layers here, channels in HC103.
+    """
+    index: dict[_Node, int] = {}
+    lowlink: dict[_Node, int] = {}
+    on_stack: set[_Node] = set()
+    stack: list[_Node] = []
+    components: list[list[_Node]] = []
     counter = 0
     for root in sorted(adjacency):
         if root in index:
@@ -581,7 +589,7 @@ def _enumerate_cycles(
     """
     cycles: list[tuple[LayerRef, ...]] = []
     truncated = False
-    for scc in _strongly_connected(adjacency):
+    for scc in strongly_connected(adjacency):
         if len(scc) < 2:
             continue
         members = set(scc)
@@ -777,7 +785,7 @@ def priority_inversion(component: ComponentGraph) -> Iterator[Issue]:
     for edge in component_edges(component):
         if edge.mode == "idle" and edge.priority_delta > 0:
             adjacency[edge.src].add(edge.dst)
-    for scc in _strongly_connected(dict(adjacency)):
+    for scc in strongly_connected(dict(adjacency)):
         if len(scc) < 2 or len({ly.rat for ly in scc}) < 2:
             continue
         route = " -> ".join(str(ly) for ly in scc)

@@ -14,6 +14,7 @@ from collections import defaultdict
 from typing import Iterator
 
 from repro.core.crawler import CellConfigSnapshot
+from repro.lint.graph import strongly_connected
 from repro.lint.rules import Issue, rule
 
 
@@ -59,56 +60,6 @@ def layer_priority_disagreement(snapshots: list[CellConfigSnapshot]) -> Iterator
             )
 
 
-def _strongly_connected_components(
-    graph: dict[int, set[int]]
-) -> list[list[int]]:
-    """Iterative Tarjan SCC over an adjacency-set graph (deterministic)."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph.get(root, ()))))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, neighbors = work[-1]
-            advanced = False
-            for nxt in neighbors:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(graph.get(nxt, ())))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-    return components
-
-
 @rule("HC103", "priority-loop", scope="network", severity="problem",
       summary="Priority preference cycle between channels (handoff loops)")
 def priority_loop(snapshots: list[CellConfigSnapshot]) -> Iterator[Issue]:
@@ -123,7 +74,7 @@ def priority_loop(snapshots: list[CellConfigSnapshot]) -> Iterator[Issue]:
             if layer.cell_reselection_priority > own:
                 graphs[snapshot.carrier][snapshot.channel].add(layer.dl_carrier_freq)
     for carrier, graph in sorted(graphs.items()):
-        for component in _strongly_connected_components(dict(graph)):
+        for component in strongly_connected(dict(graph)):
             if len(component) < 2:
                 continue
             yield Issue(

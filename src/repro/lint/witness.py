@@ -43,6 +43,7 @@ from repro.cellnet.rat import RAT
 from repro.config.lte import LteCellConfig
 from repro.lint.snapshot import decode_value, encode_value
 from repro.pipeline import ExecutionBackend, WorkUnit, resolve_backend
+from repro.util import count_ping_pong_hops
 
 if TYPE_CHECKING:
     from repro.cellnet.world import RadioEnvironment
@@ -343,11 +344,9 @@ def _radio_link_failures(result: "DriveResult") -> int:
 
 def _flip_count(result: "DriveResult") -> int:
     """Back-and-forth handoffs (each hop undoes the previous one)."""
-    flips = 0
-    for prev, hop in zip(result.handoffs, result.handoffs[1:]):
-        if hop.target == prev.source and hop.source == prev.target:
-            flips += 1
-    return flips
+    return count_ping_pong_hops(
+        ((h.source, h.target, h.time_ms) for h in result.handoffs), window_ms=None
+    )
 
 
 def classify_replay(witness: CoverageWitness, result: "DriveResult") -> ReplayOutcome:

@@ -250,11 +250,17 @@ def _encode_uncached(message: msg.Message) -> bytes:
 #: wire form around them is templated per (cell identity, state) and the
 #: floats are spliced in — byte-identical to the generic encoder, which
 #: remains the reference (and the template builder).
-_TAG_FLOAT_BYTE = bytes([_TAG_FLOAT])
 _phy_templates: dict[tuple, tuple[bytes, bytes, bytes]] = {}
 
 
-def _encode_phy_serving(message) -> bytes:
+def phy_serving_template(message: msg.PhyServingMeas) -> tuple[bytes, bytes, bytes]:
+    """The wire form of ``message`` around its two metric values.
+
+    ``splice_phy_serving(template, rsrp_dbm, rsrq_db)`` equals
+    ``encode_message`` of the message with those metrics, for any float
+    values.  Templates are cached per (carrier, gci, channel, rat,
+    sinr_db, rrc_connected).
+    """
     key = (
         message.carrier,
         message.gci,
@@ -278,8 +284,10 @@ def _encode_phy_serving(message) -> bytes:
             _encode_value(head, field)
             _encode_value(head, value)
         _encode_value(head, "rsrp_dbm")
+        head.append(_TAG_FLOAT)
         mid = bytearray()
         _encode_value(mid, "rsrq_db")
+        mid.append(_TAG_FLOAT)
         tail = bytearray()
         _encode_value(tail, "sinr_db")
         _encode_value(tail, message.sinr_db)
@@ -289,24 +297,23 @@ def _encode_phy_serving(message) -> bytes:
             _phy_templates.clear()
         parts = (bytes(head), bytes(mid), bytes(tail))
         _phy_templates[key] = parts
-    head, mid, tail = parts
-    return b"".join(
-        (
-            head,
-            _TAG_FLOAT_BYTE,
-            _PACK_DOUBLE(message.rsrp_dbm),
-            mid,
-            _TAG_FLOAT_BYTE,
-            _PACK_DOUBLE(message.rsrq_db),
-            tail,
-        )
-    )
+    return parts
+
+
+def splice_phy_serving(
+    template: tuple[bytes, bytes, bytes], rsrp_dbm: float, rsrq_db: float
+) -> bytes:
+    """A PhyServingMeas payload from its :func:`phy_serving_template`."""
+    head, mid, tail = template
+    return b"".join((head, _PACK_DOUBLE(rsrp_dbm), mid, _PACK_DOUBLE(rsrq_db), tail))
 
 
 def encode_message(message: msg.Message) -> bytes:
     """Serialize a message to its binary wire form."""
     if type(message) is msg.PhyServingMeas:
-        return _encode_phy_serving(message)
+        return splice_phy_serving(
+            phy_serving_template(message), message.rsrp_dbm, message.rsrq_db
+        )
     if type(message) in _CACHEABLE_TYPES:
         try:
             cached = _encode_cache.get(message)

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
 from repro.rrc import messages as msg
-from repro.rrc.codec import decode_message, encode_message
+from repro.rrc.codec import (
+    decode_message,
+    encode_message,
+    phy_serving_template,
+    splice_phy_serving,
+)
 
 _MAGIC = 0xD1A6
 _HEADER = struct.Struct("<HIqH")
@@ -55,6 +60,10 @@ class DiagWriter:
     def __init__(self, stream: BinaryIO):
         self._stream = stream
         self.records_written = 0
+        #: Serving cell of the last :meth:`write_phy_serving` record and
+        #: its codec template.
+        self._phy_cell = None
+        self._phy_template: tuple[bytes, bytes, bytes] | None = None
 
     @classmethod
     def in_memory(cls) -> "DiagWriter":
@@ -62,11 +71,44 @@ class DiagWriter:
 
     def write(self, timestamp_ms: int, message: msg.Message) -> None:
         """Append one record."""
-        payload = encode_message(message)
-        checksum = sum(payload) & 0xFFFF
-        self._stream.write(_HEADER.pack(_MAGIC, len(payload), int(timestamp_ms), checksum))
+        self._append(int(timestamp_ms), encode_message(message))
+
+    def _append(self, timestamp_ms: int, payload: bytes) -> None:
+        self._stream.write(
+            _HEADER.pack(_MAGIC, len(payload), timestamp_ms, sum(payload) & 0xFFFF)
+        )
         self._stream.write(payload)
         self.records_written += 1
+
+    def write_phy_serving(
+        self, timestamp_ms: int, cell, rsrp_dbm: float, rsrq_db: float
+    ) -> None:
+        """Append a connected device's serving-cell PHY measurement.
+
+        Writes the same bytes as ``write(timestamp_ms, PhyServingMeas(
+        ...cell identity..., rsrp_dbm, rsrq_db, sinr_db=0.0,
+        rrc_connected=True))`` by splicing the two packed doubles into
+        the codec's template for ``cell``, held across calls while the
+        serving cell stays the same.  This is the highest-rate record a
+        fleet writes, and the splice skips building the message.
+        """
+        if cell is not self._phy_cell:
+            self._phy_cell = cell
+            self._phy_template = phy_serving_template(
+                msg.PhyServingMeas(
+                    carrier=cell.carrier,
+                    gci=cell.cell_id.gci,
+                    channel=cell.channel,
+                    rat=cell.rat.value,
+                    rsrp_dbm=0.0,
+                    rsrq_db=0.0,
+                    sinr_db=0.0,
+                    rrc_connected=True,
+                )
+            )
+        self._append(
+            timestamp_ms, splice_phy_serving(self._phy_template, rsrp_dbm, rsrq_db)
+        )
 
     def getvalue(self) -> bytes:
         """The log bytes so far (in-memory writers only)."""

@@ -3,9 +3,11 @@
 One :class:`DriveSimulator` reproduces one Type-II drive; a *fleet*
 simulates hundreds to thousands of devices living in the same deployed
 world at once — the population view behind handoff-rate, ping-pong and
-handoff-storm statistics.  Ticking that many UEs one by one would repeat
-the same physics and measurement work per device; the fleet instead
-runs all UEs in lockstep and batches the per-tick hot path:
+handoff-storm statistics.  Both run the same per-tick body,
+:class:`~repro.simulate.runner.DriveLane`: a solo drive steps one lane,
+a fleet steps one lane per UE in lockstep.  Ticking that many lanes one
+by one would repeat the same physics and measurement work per device,
+so the fleet front-loads the per-tick hot path in batches:
 
 * **Shared radio snapshots** — UEs standing at the same spot (parked
   clusters, transit riders on one line) share a single physics pass per
@@ -33,7 +35,7 @@ operation is the elementwise twin of the scalar/vectorized per-UE path
 (same ufuncs, same order, same RNG streams), and parity tests assert
 UE *k* of a fleet equals a solo :class:`DriveSimulator` run bit for
 bit.  Any lane in an unusual state (idle, scalar oracle, a handover
-due this tick) simply falls back to the untouched per-UE path.
+due this tick) simply takes its own full tick.
 """
 
 from __future__ import annotations
@@ -51,14 +53,9 @@ from repro.cellnet.rat import RAT
 from repro.config.events import EventType
 from repro.pipeline.backends import ExecutionBackend, resolve_backend
 from repro.pipeline.unit import WorkUnit
-from repro.rrc import codec as _codec
-from repro.rrc import diag as _diag
-from repro.rrc.diag import DiagWriter
-from repro.rrc.messages import PhyServingMeas
 from repro.simulate.mobility import Trajectory, grid_drive, parked_position
-from repro.simulate.runner import DriveResult, TickSample
+from repro.simulate.runner import DriveLane, DriveResult, TickSample
 from repro.simulate.scenarios import DriveScenario, ScenarioSpec
-from repro.simulate.throughput import ThroughputModel
 from repro.simulate.traffic import (
     ConstantRate,
     NoTraffic,
@@ -66,8 +63,9 @@ from repro.simulate.traffic import (
     Speedtest,
     TrafficModel,
 )
-from repro.ue.device import HandoffEvent, RrcState, UserEquipment
+from repro.ue.device import HandoffEvent, RrcState
 from repro.ue.measurement import BatchMeasurementState, MeasurementRound
+from repro.util import PING_PONG_WINDOW_MS, count_ping_pong_hops
 
 #: Default population mix: mostly parked devices, a transit-riding
 #: share, some pedestrians and drivers — a plausible daytime urban mix.
@@ -85,47 +83,6 @@ _PROFILE_SPEEDS_KMH = {"pedestrian": 5.0, "vehicle": 40.0, "transit": 30.0}
 #: keeps every profile's trajectory duration close to ``duration_s``
 #: (a 450 m minimum leg at walking pace would last 5 minutes).
 _PROFILE_BLOCK_M = {"pedestrian": 100.0, "vehicle": 450.0, "transit": 450.0}
-
-#: Ping-pong window: an A->B->A pair within this span counts (Fig. 12).
-PING_PONG_WINDOW_MS = 10_000
-
-
-def _profile_enabled() -> bool:
-    return os.environ.get("REPRO_PROFILE", "0") not in ("", "0")
-
-
-_TAGF = _codec._TAG_FLOAT_BYTE
-_PACK_DOUBLE = _codec._PACK_DOUBLE
-_HEADER_PACK = _diag._HEADER.pack
-
-
-def _phy_template(cell) -> tuple:
-    """Codec template parts for quiet-path PHY records serving ``cell``.
-
-    Returns ``(head, mid, tail, base_sum, payload_len)``: the codec's
-    own template bytes around the two packed doubles, the checksum
-    contribution of everything except those doubles, and the total
-    payload length.  Encoding one reference message through the codec
-    keeps the parts definitionally identical to the slow path (the
-    quiet path's ``sinr_db`` and ``rrc_connected`` are constants).
-    """
-    message = PhyServingMeas(
-        carrier=cell.carrier,
-        gci=cell.cell_id.gci,
-        channel=cell.channel,
-        rat=cell.rat.value,
-        rsrp_dbm=0.0,
-        rsrq_db=0.0,
-        sinr_db=0.0,
-        rrc_connected=True,
-    )
-    _codec.encode_message(message)
-    head, mid, tail = _codec._phy_templates[
-        (message.carrier, message.gci, message.channel, message.rat, 0.0, True)
-    ]
-    base_sum = sum(head) + sum(mid) + sum(tail) + 2 * _codec._TAG_FLOAT
-    return (head, mid, tail, base_sum, len(head) + len(mid) + len(tail) + 18)
-
 
 def _monitor_batch_info(meas_config) -> tuple:
     """Grouping key and parameter matrix for the batched event pass.
@@ -374,16 +331,10 @@ class UEResult:
 
 
 def count_ping_pongs(handoffs: list[HandoffEvent]) -> int:
-    """A->B->A pairs within :data:`PING_PONG_WINDOW_MS` (per UE)."""
-    count = 0
-    for first, second in zip(handoffs, handoffs[1:]):
-        if (
-            second.source == first.target
-            and second.target == first.source
-            and second.time_ms - first.time_ms <= PING_PONG_WINDOW_MS
-        ):
-            count += 1
-    return count
+    """A->B->A pairs within :data:`PING_PONG_WINDOW_MS` (per UE, Fig. 12)."""
+    return count_ping_pong_hops(
+        ((h.source, h.target, h.time_ms) for h in handoffs), PING_PONG_WINDOW_MS
+    )
 
 
 @dataclass
@@ -459,244 +410,28 @@ def aggregate(results: list[UEResult], tick_ms: int) -> FleetAggregates:
     )
 
 
-class _Lane:
-    """One fleet UE's live state: replicates ``DriveSimulator.run``.
-
-    The per-tick body is the runner's, line for line — the fleet only
-    front-loads work (snapshots, measurement rounds, event masks) that
-    :meth:`step` would otherwise compute itself, never different work.
-    """
-
-    __slots__ = (
-        "spec",
-        "trajectory",
-        "carrier",
-        "tick_ms",
-        "traffic",
-        "is_ping",
-        "is_speedtest",
-        "static",
-        "ue",
-        "writer",
-        "throughput",
-        "samples",
-        "ping_rtts",
-        "occupancy",
-        "delivered_bits",
-        "interrupted_ticks",
-        "n_ticks",
-        "location",
-        "row",
-        "batched",
-        "quiet",
-        "quiet_fm",
-        "_phy_cell",
-        "_phy_parts",
-        "_gt_snap",
-        "_gt_serving",
-        "_gt_rsrp",
-        "_gt_sinr",
-        "_cap_serving",
-        "_cap_sinr",
-        "_cap_epoch",
-        "_cap_value",
-        "_occ_cell",
-        "_occ_run",
+def _ue_result(spec: UESpec, lane: DriveLane, keep_samples: bool) -> UEResult:
+    """Fleet member ``spec``'s outcome from its finished lane."""
+    diag = lane.writer.getvalue()
+    return UEResult(
+        index=spec.index,
+        profile=spec.profile,
+        carrier=spec.carrier,
+        seed=spec.seed,
+        tick_ms=lane.tick_ms,
+        n_ticks=lane.n_ticks,
+        handoffs=list(lane.ue.handoffs),
+        ping_rtts_ms=lane.ping_rtts,
+        diag_sha256=hashlib.sha256(diag).hexdigest(),
+        diag_len=len(diag),
+        delivered_bits=lane.delivered_bits,
+        interrupted_ticks=lane.interrupted_ticks,
+        occupancy=lane.occupancy(),
+        intra_freq_rounds=lane.ue.meas.intra_freq_rounds,
+        non_intra_freq_rounds=lane.ue.meas.non_intra_freq_rounds,
+        samples=lane.samples if keep_samples else None,
+        diag_log=diag if keep_samples else None,
     )
-
-    def __init__(
-        self,
-        spec: UESpec,
-        trajectory: Trajectory,
-        scenario: DriveScenario,
-        tick_ms: int,
-        traffic: TrafficModel,
-        keep_samples: bool,
-    ):
-        self.spec = spec
-        self.trajectory = trajectory
-        self.carrier = spec.carrier
-        self.tick_ms = tick_ms
-        self.traffic = traffic
-        self.is_ping = isinstance(traffic, Ping)
-        self.is_speedtest = type(traffic) is Speedtest
-        #: Parked trajectories hold one position for the whole run, so
-        #: the simulate loop skips their per-tick position/spot work.
-        self.static = spec.profile == "parked"
-        # Exactly the runner's wiring with run_index=0: same UE seed,
-        # same throughput RNG stream.
-        self.ue = UserEquipment(
-            scenario.env, scenario.server, spec.carrier, seed=spec.seed * 1009 + 0
-        )
-        self.writer = DiagWriter.in_memory()
-        self.ue.add_listener(lambda t, message, direction: self.writer.write(t, message))
-        self.throughput = ThroughputModel(
-            rng=np.random.default_rng((spec.seed, 0, 0x7A))
-        )
-        self.samples: list[TickSample] | None = [] if keep_samples else None
-        self.ping_rtts: list[tuple[int, float | None]] = []
-        self.occupancy: Counter = Counter()
-        self.delivered_bits = 0.0
-        self.interrupted_ticks = 0
-        self.n_ticks = 0
-        self.batched = False
-        self.quiet = False
-        self.quiet_fm: tuple | None = None
-        # Serving-cell PHY emission template: quiet-tick serving
-        # measurements dominate the diag stream, and their payload is
-        # fixed bytes around the two packed doubles (sinr 0.0 and
-        # rrc_connected=True are constants on the quiet path).
-        self._phy_cell = None
-        self._phy_parts: tuple | None = None
-        # Ground-truth serving measurement and capacity memos: a parked
-        # UE's (snapshot, serving) pair and load-share epoch repeat for
-        # many consecutive ticks, and both lookups are pure given them.
-        self._gt_snap = None
-        self._gt_serving = None
-        self._gt_rsrp = -140.0
-        self._gt_sinr = -20.0
-        self._cap_serving = None
-        self._cap_sinr = 0.0
-        self._cap_epoch = -1
-        self._cap_value = 0.0
-        # Serving-cell occupancy as run lengths (flushed on change).
-        self._occ_cell = None
-        self._occ_run = 0
-        self.location = trajectory.position(0)
-        self.ue.initial_camp(self.location, 0)
-        if traffic.generates_user_traffic:
-            self.ue.connect(0)
-
-    def step(self, now_ms: int) -> None:
-        """One tick at the already-assigned location (runner loop body)."""
-        ue = self.ue
-        if self.quiet:
-            # The batched event pass proved this tick a no-op; only the
-            # round counters (and a due PHY emission) happen.
-            self.quiet = False
-            fm = self.quiet_fm
-            if fm is None:
-                ue.quiet_tick(now_ms)
-            elif len(ue._listeners) != 1:
-                ue.quiet_tick(now_ms, fm[0], fm[1])
-            else:
-                # Due PHY serving measurement, emitted directly: the
-                # lane's writer is the device's only listener, so the
-                # notify -> dataclass -> encode dispatch chain reduces
-                # to splicing two packed doubles into the serving
-                # cell's cached payload template.  Bytes (payload,
-                # header, checksum) are identical to quiet_tick's.
-                meas = ue.meas
-                meas.intra_freq_rounds += 1
-                meas.non_intra_freq_rounds += 1
-                ue._last_phy_meas_ms = now_ms
-                serving = ue.serving
-                if serving is not self._phy_cell:
-                    self._phy_cell = serving
-                    self._phy_parts = _phy_template(serving)
-                head, mid, tail, base_sum, length = self._phy_parts
-                p1 = _PACK_DOUBLE(fm[0])
-                p2 = _PACK_DOUBLE(fm[1])
-                writer = self.writer
-                stream = writer._stream
-                stream.write(
-                    _HEADER_PACK(
-                        _diag._MAGIC,
-                        length,
-                        now_ms,
-                        (base_sum + sum(p1) + sum(p2)) & 0xFFFF,
-                    )
-                )
-                stream.write(b"".join((head, _TAGF, p1, mid, _TAGF, p2, tail)))
-                writer.records_written += 1
-        else:
-            ue.tick(now_ms, self.location)
-        serving = ue.serving
-        # The spots pass (or initial camp, for parked lanes) left this
-        # tick's snapshot in the engine memo.
-        snap = ue.meas._snap
-        if snap is self._gt_snap and serving is self._gt_serving:
-            rsrp, sinr = self._gt_rsrp, self._gt_sinr
-        else:
-            if serving in snap:
-                measurement = snap.measure(serving)
-                rsrp, sinr = measurement.rsrp_dbm, measurement.sinr_db
-            else:
-                rsrp, sinr = -140.0, -20.0
-            self._gt_snap, self._gt_serving = snap, serving
-            self._gt_rsrp, self._gt_sinr = rsrp, sinr
-        if now_ms < ue.interrupted_until_ms:
-            interrupted = True
-            capacity = 0.0
-            self.interrupted_ticks += 1
-        else:
-            interrupted = False
-            epoch = now_ms // 4000
-            if (
-                serving is self._cap_serving
-                and sinr == self._cap_sinr
-                and epoch == self._cap_epoch
-            ):
-                capacity = self._cap_value
-            else:
-                capacity = self.throughput.capacity_bps(serving, sinr, now_ms)
-                self._cap_serving, self._cap_sinr = serving, sinr
-                self._cap_epoch, self._cap_value = epoch, capacity
-        if self.is_speedtest:
-            delivered_bits = capacity * self.tick_ms / 1000.0
-        else:
-            delivered_bits = self.traffic.delivered_bits(capacity, self.tick_ms, now_ms)
-        self.delivered_bits += delivered_bits
-        if serving is self._occ_cell:
-            self._occ_run += 1
-        else:
-            if self._occ_run:
-                self.occupancy[self._occ_cell.cell_id] += self._occ_run
-            self._occ_cell = serving
-            self._occ_run = 1
-        self.n_ticks += 1
-        if self.samples is not None:
-            self.samples.append(
-                TickSample(
-                    t_ms=now_ms,
-                    serving=serving.cell_id,
-                    rsrp_dbm=rsrp,
-                    sinr_db=sinr,
-                    capacity_bps=capacity,
-                    delivered_bps=delivered_bits * 1000.0 / self.tick_ms,
-                    interrupted=interrupted,
-                )
-            )
-        if self.is_ping and self.traffic.probe_due(now_ms, self.tick_ms):
-            if self.throughput.ping_lost(sinr, interrupted):
-                self.ping_rtts.append((now_ms, None))
-            else:
-                self.ping_rtts.append((now_ms, self.throughput.rtt_ms(sinr)))
-
-    def finish(self, keep_samples: bool) -> UEResult:
-        if self._occ_run:
-            self.occupancy[self._occ_cell.cell_id] += self._occ_run
-            self._occ_run = 0
-        diag = self.writer.getvalue()
-        return UEResult(
-            index=self.spec.index,
-            profile=self.spec.profile,
-            carrier=self.spec.carrier,
-            seed=self.spec.seed,
-            tick_ms=self.tick_ms,
-            n_ticks=self.n_ticks,
-            handoffs=list(self.ue.handoffs),
-            ping_rtts_ms=self.ping_rtts,
-            diag_sha256=hashlib.sha256(diag).hexdigest(),
-            diag_len=len(diag),
-            delivered_bits=self.delivered_bits,
-            interrupted_ticks=self.interrupted_ticks,
-            occupancy={str(k): v for k, v in sorted(self.occupancy.items())},
-            intra_freq_rounds=self.ue.meas.intra_freq_rounds,
-            non_intra_freq_rounds=self.ue.meas.non_intra_freq_rounds,
-            samples=self.samples if keep_samples else None,
-            diag_log=diag if keep_samples else None,
-        )
 
 
 @dataclass
@@ -705,7 +440,6 @@ class _ShardResult:
 
     ues: list[UEResult]
     cache: dict
-    profile: dict | None = None
 
 
 class FleetSimulator:
@@ -721,7 +455,6 @@ class FleetSimulator:
         self._transit_cache: dict[int, Trajectory] = {}
         #: (trajectory id, carrier) -> (anchor tick ms, snapshot chunk).
         self._lookahead: dict[tuple, tuple[int, list]] = {}
-        self.profile: dict[str, float] | None = {} if _profile_enabled() else None
 
     def _trajectory(self, spec: UESpec) -> Trajectory:
         if spec.profile == "transit":
@@ -743,7 +476,7 @@ class FleetSimulator:
         cache["misses"] -= misses0
         total = cache["hits"] + cache["misses"]
         cache["hit_rate"] = (cache["hits"] / total) if total else 0.0
-        return _ShardResult(ues=ues, cache=cache, profile=self.profile)
+        return _ShardResult(ues=ues, cache=cache)
 
     def simulate(self, start: int = 0, count: int | None = None) -> list[UEResult]:
         """Lockstep-simulate UEs ``start .. start+count`` of the fleet."""
@@ -756,35 +489,37 @@ class FleetSimulator:
             for carrier in options.carriers:
                 warn_before_run(self.scenario.env, self.scenario.server, carrier)
         specs = ue_specs(options, start, count)
+        env = self.scenario.env
+        server = self.scenario.server
         lanes = [
-            _Lane(
-                spec,
+            DriveLane(
+                env,
+                server,
+                spec.carrier,
                 self._trajectory(spec),
-                self.scenario,
-                options.tick_ms,
                 make_traffic(options.traffic),
-                options.keep_samples,
+                tick_ms=options.tick_ms,
+                seed=spec.seed,
+                keep_samples=options.keep_samples,
             )
             for spec in specs
         ]
-        env = self.scenario.env
-        profile = self.profile
         now_ms = 0
         tick_index = 0
         active = list(lanes)
         # Parked lanes hold one position (and one warm snapshot memo,
         # left by their initial camp) for the whole run: only movers
         # need the per-tick position/spot passes.
-        movers = [lane for lane in active if not lane.static]
+        movers = [
+            lane for spec, lane in zip(specs, lanes) if spec.profile != "parked"
+        ]
         n_static_spots = len(active) - len(movers)
         # Persistent (UE x cell) measurement matrices; each lane owns
         # one row for the whole lockstep run.
         batch_state = BatchMeasurementState(len(lanes))
-        batch_state.profile = profile
         for row, lane in enumerate(lanes):
             lane.row = row
         while active:
-            t0 = perf_counter() if profile is not None else 0.0
             # Positions: one interpolation per distinct trajectory.
             positions: dict[int, object] = {}
             for lane in movers:
@@ -796,7 +531,7 @@ class FleetSimulator:
                 lane.location = position
             # Snapshot sharing: one physics pass per occupied
             # (location, carrier) spot; co-located lanes adopt it.
-            spots: dict[tuple, list[_Lane]] = {}
+            spots: dict[tuple, list[DriveLane]] = {}
             for lane in movers:
                 location = lane.location
                 spots.setdefault((location.x, location.y, lane.carrier), []).append(lane)
@@ -817,17 +552,13 @@ class FleetSimulator:
                     adopters = group
                 for lane in adopters:
                     lane.ue.meas.adopt_snapshot(lane.location, lane.carrier, snap)
-            if profile is not None:
-                now = perf_counter()
-                profile["fleet_physics"] = profile.get("fleet_physics", 0.0) + now - t0
-                t0 = now
             # One batched measurement + event pass over all eligible
             # lanes, whatever neighborhood each lives in.  A previously
             # batched lane that drops out (handover due, idle, RLF) is
             # detached first: the batch matrices update in place, so its
             # engine must own private arrays before the batch steps on
             # without it.
-            batch: list[_Lane] = []
+            batch: list[DriveLane] = []
             for lane in active:
                 ue = lane.ue
                 command = ue.pending_handover
@@ -848,23 +579,19 @@ class FleetSimulator:
                     batch_state.detach(ue.meas)
             if batch:
                 self._batch_step(now_ms, batch, batch_state)
-            if profile is not None:
-                now = perf_counter()
-                profile["fleet_batch"] = profile.get("fleet_batch", 0.0) + now - t0
-                t0 = now
             # Per-lane tick: consumes the pending rounds and injected
-            # masks; lanes outside the batch take the normal path.
+            # masks; lanes outside the batch take their full tick.
             for lane in active:
                 lane.step(now_ms)
-            if profile is not None:
-                profile["fleet_lanes"] = profile.get("fleet_lanes", 0.0) + perf_counter() - t0
             now_ms += options.tick_ms
             tick_index += 1
             if any(now_ms > lane.trajectory.duration_ms for lane in active):
                 active = [
                     lane for lane in active if now_ms <= lane.trajectory.duration_ms
                 ]
-                movers = [lane for lane in active if not lane.static]
+                movers = [
+                    lane for lane in movers if now_ms <= lane.trajectory.duration_ms
+                ]
                 n_static_spots = len(active) - len(movers)
                 # Compact the batch matrices when the fleet shrinks: the
                 # ufunc phase runs over every allocated row, so a long
@@ -876,12 +603,14 @@ class FleetSimulator:
                 # no UE-visible value.
                 if active and len(active) < 0.7 * batch_state.n_rows:
                     batch_state = BatchMeasurementState(len(active))
-                    batch_state.profile = profile
                     for row, lane in enumerate(active):
                         lane.row = row
-        return [lane.finish(options.keep_samples) for lane in lanes]
+        return [
+            _ue_result(spec, lane, options.keep_samples)
+            for spec, lane in zip(specs, lanes)
+        ]
 
-    def _lookahead_snap(self, lane: _Lane, now_ms: int):
+    def _lookahead_snap(self, lane: DriveLane, now_ms: int):
         """This tick's snapshot for a moving lane, physics precomputed.
 
         A trajectory's future positions are a pure function of time, so
@@ -934,7 +663,7 @@ class FleetSimulator:
         return snaps[0]
 
     def _batch_step(
-        self, now_ms: int, group: list[_Lane], state: BatchMeasurementState
+        self, now_ms: int, group: list[DriveLane], state: BatchMeasurementState
     ) -> None:
         """Advance every batched UE of this tick in matrix form."""
         snaps = [lane.ue.meas._snap for lane in group]
@@ -943,13 +672,7 @@ class FleetSimulator:
         # Matrices are indexed by each lane's persistent row, not its
         # position in this tick's batch: ``rows[gi]`` maps between them.
         rows = [lane.row for lane in group]
-        profile = self.profile
-        t0 = perf_counter() if profile is not None else 0.0
         filt_rsrp, filt_rsrq, eligible = state.step(rows, engines, snaps, servings)
-        if profile is not None:
-            now = perf_counter()
-            profile["fb_state"] = profile.get("fb_state", 0.0) + now - t0
-            t0 = now
         # Event pass.  Lanes are grouped by armed-event *signature* (the
         # tuple of (event, metric) pairs the monitor armed), not by
         # neighborhood: parked UEs scatter over ~50 distinct prepared
@@ -996,10 +719,6 @@ class FleetSimulator:
                 info = _monitor_batch_info(monitor.meas_config)
                 monitor._batch_info = info
             groups.setdefault(info[0], []).append((gi, serving_i, monitor, info))
-        if profile is not None:
-            now = perf_counter()
-            profile["fb_group"] = profile.get("fb_group", 0.0) + now - t0
-            t0 = now
         arange_cache: np.ndarray | None = None
         for signature, members in groups.items():
             m = len(members)
@@ -1057,10 +776,6 @@ class FleetSimulator:
                         any_entry |= s - hys > params[:, e_i, 1]
                     else:
                         any_entry |= s + hys < params[:, e_i, 1]
-            if profile is not None:
-                now = perf_counter()
-                profile["fb_vector"] = profile.get("fb_vector", 0.0) + now - t0
-                t0 = now
             for o_i in range(m):
                 gi, serving_i, monitor, info = members[o_i]
                 periodic = info[3]
@@ -1104,10 +819,6 @@ class FleetSimulator:
                             e[0][o_i] if e is not None and e[1][o_i] else None
                             for e in entries
                         ]
-            if profile is not None:
-                now = perf_counter()
-                profile["fb_members"] = profile.get("fb_members", 0.0) + now - t0
-                t0 = now
 
 
 @dataclass(frozen=True)
@@ -1140,7 +851,6 @@ class FleetResult:
     aggregates: FleetAggregates
     elapsed_s: float
     snapshot_cache: dict = field(default_factory=dict)
-    profile: dict | None = None
 
     @property
     def ue_ticks_per_s(self) -> float:
@@ -1182,14 +892,10 @@ def run_fleet(
     started = perf_counter()
     ues: list[UEResult] = []
     cache = {"hits": 0, "misses": 0}
-    profile: dict[str, float] = {}
     for shard in resolved.run(units):
         ues.extend(shard.ues)
         cache["hits"] += shard.cache.get("hits", 0)
         cache["misses"] += shard.cache.get("misses", 0)
-        if shard.profile:
-            for stage, seconds in shard.profile.items():
-                profile[stage] = profile.get(stage, 0.0) + seconds
     elapsed = perf_counter() - started
     total = cache["hits"] + cache["misses"]
     cache["hit_rate"] = (cache["hits"] / total) if total else 0.0
@@ -1199,5 +905,4 @@ def run_fleet(
         aggregates=aggregate(ues, options.tick_ms),
         elapsed_s=elapsed,
         snapshot_cache=cache,
-        profile=profile or None,
     )

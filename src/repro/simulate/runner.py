@@ -5,13 +5,16 @@ run: the UE ticks along the trajectory, its signaling is logged to a
 diag buffer by the attached collector listener (exactly what MMLab does
 on a rooted phone), and the traffic model converts the serving link's
 capacity into delivered throughput (the role of tcpdump in the paper).
+
+The per-tick body lives in :class:`DriveLane`, and only there: a solo
+drive runs one lane, and the fleet simulator
+(:mod:`repro.simulate.fleet`) runs many in lockstep.
 """
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -21,8 +24,8 @@ from repro.rrc.broadcast import ConfigServer
 from repro.rrc.diag import DiagWriter
 from repro.simulate.mobility import Trajectory
 from repro.simulate.throughput import ThroughputModel
-from repro.simulate.traffic import NoTraffic, Ping, TrafficModel
-from repro.ue.device import HandoffEvent, RrcState, UserEquipment
+from repro.simulate.traffic import NoTraffic, Ping, Speedtest, TrafficModel
+from repro.ue.device import HandoffEvent, UserEquipment
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,6 @@ class DriveResult:
     handoffs: list[HandoffEvent] = field(default_factory=list)
     diag_log: bytes = b""
     ping_rtts_ms: list[tuple[int, float | None]] = field(default_factory=list)
-    #: Per-stage cumulative wall seconds, populated when the drive ran
-    #: under ``REPRO_PROFILE=1``; None otherwise.
-    profile: dict[str, float] | None = None
 
     def throughput_series(self, bin_ms: int = 1000) -> list[tuple[int, float]]:
         """(bin start, mean delivered bps) series at ``bin_ms`` bins.
@@ -76,8 +76,220 @@ class DriveResult:
         return [(start, total / count) for start, (total, count) in sorted(bins.items())]
 
 
+class DriveLane:
+    """One device on one trajectory, advanced one tick at a time.
+
+    This is the simulator's only per-tick body.  The caller assigns
+    ``location`` and calls :meth:`step` once per tick;
+    :class:`DriveSimulator` does so for one lane, the fleet simulator
+    for many in lockstep.  The UE is seeded ``seed * 1009 + run_index``
+    and the throughput model ``(seed, run_index, 0x7A)``, so a fleet
+    member and a solo drive with the same seed are the same device.
+
+    The fleet front-loads work :meth:`step` would otherwise do itself,
+    never different work: it installs snapshots and measurement rounds
+    into the UE's engine, and when its batched event pass proves a tick
+    a no-op it sets ``quiet`` (plus ``quiet_fm``, the serving cell's
+    filtered (RSRP, RSRQ) when a PHY emission is due), so the tick skips
+    the per-UE event machinery.  ``row`` and ``batched`` are the fleet's
+    batch-matrix bookkeeping; a solo drive never sets any of these.
+    """
+
+    __slots__ = (
+        "trajectory",
+        "carrier",
+        "tick_ms",
+        "traffic",
+        "is_ping",
+        "is_speedtest",
+        "ue",
+        "writer",
+        "throughput",
+        "samples",
+        "ping_rtts",
+        "delivered_bits",
+        "interrupted_ticks",
+        "n_ticks",
+        "location",
+        "row",
+        "batched",
+        "quiet",
+        "quiet_fm",
+        "_occupancy",
+        "_gt_snap",
+        "_gt_serving",
+        "_gt_rsrp",
+        "_gt_sinr",
+        "_cap_serving",
+        "_cap_sinr",
+        "_cap_epoch",
+        "_cap_value",
+        "_occ_cell",
+        "_occ_run",
+    )
+
+    def __init__(
+        self,
+        env: RadioEnvironment,
+        server: ConfigServer,
+        carrier: str,
+        trajectory: Trajectory,
+        traffic: TrafficModel,
+        tick_ms: int = 200,
+        seed: int = 0,
+        run_index: int = 0,
+        vectorized: bool | None = None,
+        keep_samples: bool = True,
+    ):
+        self.trajectory = trajectory
+        self.carrier = carrier
+        self.tick_ms = tick_ms
+        self.traffic = traffic
+        self.is_ping = isinstance(traffic, Ping)
+        self.is_speedtest = type(traffic) is Speedtest
+        self.ue = UserEquipment(
+            env, server, carrier, seed=seed * 1009 + run_index, vectorized=vectorized
+        )
+        self.writer = DiagWriter.in_memory()
+        self.ue.add_listener(lambda t, message, direction: self.writer.write(t, message))
+        self.throughput = ThroughputModel(
+            rng=np.random.default_rng((seed, run_index, 0x7A))
+        )
+        self.samples: list[TickSample] | None = [] if keep_samples else None
+        self.ping_rtts: list[tuple[int, float | None]] = []
+        self._occupancy: Counter = Counter()
+        self.delivered_bits = 0.0
+        self.interrupted_ticks = 0
+        self.n_ticks = 0
+        self.row = -1
+        self.batched = False
+        self.quiet = False
+        self.quiet_fm: tuple | None = None
+        # Ground-truth serving measurement and capacity memos: a parked
+        # UE's (snapshot, serving) pair and load-share epoch repeat for
+        # many consecutive ticks, and both lookups are pure given them.
+        self._gt_snap = None
+        self._gt_serving = None
+        self._gt_rsrp = -140.0
+        self._gt_sinr = -20.0
+        self._cap_serving = None
+        self._cap_sinr = 0.0
+        self._cap_epoch = -1
+        self._cap_value = 0.0
+        # Serving-cell occupancy as run lengths (flushed on change).
+        self._occ_cell = None
+        self._occ_run = 0
+        self.location = trajectory.position(0)
+        self.ue.initial_camp(self.location, 0)
+        if traffic.generates_user_traffic:
+            self.ue.connect(0)
+
+    def step(self, now_ms: int) -> None:
+        """One tick at the already-assigned ``location``."""
+        ue = self.ue
+        if self.quiet:
+            # The batched event pass proved this tick a no-op; only the
+            # round counters (and a due PHY emission) happen.
+            self.quiet = False
+            fm = self.quiet_fm
+            if fm is None:
+                ue.quiet_tick(now_ms)
+            elif len(ue._listeners) != 1:
+                ue.quiet_tick(now_ms, fm[0], fm[1])
+            else:
+                # The lane's writer is the device's only listener, so
+                # the notify -> dataclass -> encode chain reduces to the
+                # writer's template splice (same record bytes).
+                meas = ue.meas
+                meas.intra_freq_rounds += 1
+                meas.non_intra_freq_rounds += 1
+                ue._last_phy_meas_ms = now_ms
+                self.writer.write_phy_serving(now_ms, ue.serving, fm[0], fm[1])
+        else:
+            ue.tick(now_ms, self.location)
+        serving = ue.serving
+        # The UE's tick (or, in a fleet, the spots pass or the initial
+        # camp) left this tick's snapshot in the engine memo.
+        snap = ue.meas.snapshot(self.location, self.carrier)
+        if snap is self._gt_snap and serving is self._gt_serving:
+            rsrp, sinr = self._gt_rsrp, self._gt_sinr
+        else:
+            if serving in snap:
+                measurement = snap.measure(serving)
+                rsrp, sinr = measurement.rsrp_dbm, measurement.sinr_db
+            else:
+                rsrp, sinr = -140.0, -20.0
+            self._gt_snap, self._gt_serving = snap, serving
+            self._gt_rsrp, self._gt_sinr = rsrp, sinr
+        if now_ms < ue.interrupted_until_ms:
+            interrupted = True
+            capacity = 0.0
+            self.interrupted_ticks += 1
+        else:
+            interrupted = False
+            epoch = now_ms // 4000
+            if (
+                serving is self._cap_serving
+                and sinr == self._cap_sinr
+                and epoch == self._cap_epoch
+            ):
+                capacity = self._cap_value
+            else:
+                capacity = self.throughput.capacity_bps(serving, sinr, now_ms)
+                self._cap_serving, self._cap_sinr = serving, sinr
+                self._cap_epoch, self._cap_value = epoch, capacity
+        if self.is_speedtest:
+            delivered_bits = capacity * self.tick_ms / 1000.0
+        else:
+            delivered_bits = self.traffic.delivered_bits(capacity, self.tick_ms, now_ms)
+        self.delivered_bits += delivered_bits
+        if serving is self._occ_cell:
+            self._occ_run += 1
+        else:
+            if self._occ_run:
+                self._occupancy[self._occ_cell.cell_id] += self._occ_run
+            self._occ_cell = serving
+            self._occ_run = 1
+        self.n_ticks += 1
+        if self.samples is not None:
+            self.samples.append(
+                TickSample(
+                    t_ms=now_ms,
+                    serving=serving.cell_id,
+                    rsrp_dbm=rsrp,
+                    sinr_db=sinr,
+                    capacity_bps=capacity,
+                    delivered_bps=delivered_bits * 1000.0 / self.tick_ms,
+                    interrupted=interrupted,
+                )
+            )
+        if self.is_ping and self.traffic.probe_due(now_ms, self.tick_ms):
+            if self.throughput.ping_lost(sinr, interrupted):
+                self.ping_rtts.append((now_ms, None))
+            else:
+                self.ping_rtts.append((now_ms, self.throughput.rtt_ms(sinr)))
+
+    def occupancy(self) -> dict[str, int]:
+        """Ticks spent on each serving cell so far, keyed by cell id string."""
+        if self._occ_run:
+            self._occupancy[self._occ_cell.cell_id] += self._occ_run
+            self._occ_run = 0
+        return {str(k): v for k, v in sorted(self._occupancy.items())}
+
+    def result(self) -> DriveResult:
+        """The drive so far as a :class:`DriveResult`."""
+        return DriveResult(
+            carrier=self.carrier,
+            tick_ms=self.tick_ms,
+            samples=self.samples if self.samples is not None else [],
+            handoffs=list(self.ue.handoffs),
+            diag_log=self.writer.getvalue(),
+            ping_rtts_ms=self.ping_rtts,
+        )
+
+
 class DriveSimulator:
-    """Runs Type-II drives against one deployment.
+    """Runs Type-II drives against one deployment, one :class:`DriveLane` each.
 
     Args:
         env: Radio environment.
@@ -92,8 +304,7 @@ class DriveSimulator:
             cached per (server, carrier), so fleets pay for it once.
         vectorized: Run the UE's array-resident hot path (default) or
             the scalar reference loop; drives are bit-identical either
-            way.  Setting ``REPRO_PROFILE=1`` additionally attaches
-            per-stage cumulative timings to each :class:`DriveResult`.
+            way.
     """
 
     def __init__(
@@ -133,72 +344,20 @@ class DriveSimulator:
             from repro.lint.engine import warn_before_run
 
             warn_before_run(self.env, self.server, self.carrier)
-        traffic = traffic if traffic is not None else NoTraffic()
-        ue = UserEquipment(
+        lane = DriveLane(
             self.env,
             self.server,
             self.carrier,
-            seed=(self.seed * 1009 + run_index),
+            trajectory,
+            traffic if traffic is not None else NoTraffic(),
+            tick_ms=self.tick_ms,
+            seed=self.seed,
+            run_index=run_index,
             vectorized=self.vectorized,
         )
-        writer = DiagWriter.in_memory()
-        ue.add_listener(lambda t, message, direction: writer.write(t, message))
-        throughput = ThroughputModel(
-            rng=np.random.default_rng((self.seed, run_index, 0x7A))
-        )
-        result = DriveResult(carrier=self.carrier, tick_ms=self.tick_ms)
-        profile: dict[str, float] | None = None
-        if os.environ.get("REPRO_PROFILE", "0") not in ("", "0"):
-            profile = {}
-            ue.profile = profile
         now_ms = 0
-        start = trajectory.position(0)
-        ue.initial_camp(start, now_ms)
-        if traffic.generates_user_traffic:
-            ue.connect(now_ms)
         while now_ms <= trajectory.duration_ms:
-            location = trajectory.position(now_ms)
-            t0 = perf_counter() if profile is not None else 0.0
-            ue.tick(now_ms, location)
-            if profile is not None:
-                profile["ue_tick"] = profile.get("ue_tick", 0.0) + perf_counter() - t0
-                t0 = perf_counter()
-            serving = ue.serving
-            assert serving is not None
-            # Ground-truth sampling reuses the snapshot the UE's tick
-            # just took at this location (memoized per tick) instead of
-            # preparing and measuring the neighborhood a second time.
-            snap = ue.meas.snapshot(location, self.carrier)
-            if serving in snap:
-                measurement = snap.measure(serving)
-                rsrp, sinr = measurement.rsrp_dbm, measurement.sinr_db
-            else:
-                rsrp, sinr = -140.0, -20.0
-            interrupted = ue.is_interrupted(now_ms)
-            capacity = 0.0 if interrupted else throughput.capacity_bps(serving, sinr, now_ms)
-            delivered_bits = traffic.delivered_bits(capacity, self.tick_ms, now_ms)
-            result.samples.append(
-                TickSample(
-                    t_ms=now_ms,
-                    serving=serving.cell_id,
-                    rsrp_dbm=rsrp,
-                    sinr_db=sinr,
-                    capacity_bps=capacity,
-                    delivered_bps=delivered_bits * 1000.0 / self.tick_ms,
-                    interrupted=interrupted,
-                )
-            )
-            if isinstance(traffic, Ping) and traffic.probe_due(now_ms, self.tick_ms):
-                if throughput.ping_lost(sinr, interrupted):
-                    result.ping_rtts_ms.append((now_ms, None))
-                else:
-                    result.ping_rtts_ms.append((now_ms, throughput.rtt_ms(sinr)))
-            if profile is not None:
-                profile["ground_truth"] = (
-                    profile.get("ground_truth", 0.0) + perf_counter() - t0
-                )
+            lane.location = trajectory.position(now_ms)
+            lane.step(now_ms)
             now_ms += self.tick_ms
-        result.handoffs = list(ue.handoffs)
-        result.diag_log = writer.getvalue()
-        result.profile = profile
-        return result
+        return lane.result()

@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -259,10 +258,10 @@ class MeasurementEngine:
         the same element sequence.  Serving slices of one large buffered
         draw is therefore bit-identical to ``m`` direct draws — leftover
         tail values are carried across refills, never discarded, keeping
-        the served sequence exactly the unbuffered one.  All vectorized
-        measurement paths (solo, connected batch, fleet matrix) draw
-        through this tap, which is what keeps a fleet lane's stream
-        aligned with the same UE simulated solo.
+        the served sequence exactly the unbuffered one.  Both vectorized
+        measurement paths (solo and the fleet matrix) draw through this
+        tap, which is what keeps a fleet lane's stream aligned with the
+        same UE simulated solo.
         """
         buf = self._noise_buf
         pos = self._noise_pos
@@ -419,97 +418,6 @@ class MeasurementEngine:
         self._filt_rsrp, self._filt_rsrq, self._has_filt = filt_rsrp, filt_rsrq, eligible
         return MeasurementRound(prepared, filt_rsrp, filt_rsrq, eligible)
 
-    #: Raw-metric value used to pad batch rows past a lane's own cell
-    #: count: far below every detection floor, so padded positions are
-    #: never eligible, and sliced away before anything is committed.
-    _BATCH_PAD = -1.0e9
-
-    @staticmethod
-    def step_connected_batch(
-        engines: list["MeasurementEngine"],
-        snaps: list[RadioSnapshot],
-        servings: list[Cell],
-    ) -> tuple[list[MeasurementRound], np.ndarray, np.ndarray, np.ndarray]:
-        """One full-measure connected round for many engines at once.
-
-        Lanes may live in *different* snapshot-cache neighborhoods: row
-        ``g`` spans its own prepared cell list and is padded out to the
-        batch-wide maximum with :data:`_BATCH_PAD` (ineligible by
-        construction).  Every per-cell update is elementwise, so row
-        ``g``'s leading ``n_g`` values reproduce engine ``g``'s own
-        :meth:`_step_vectorized` bit for bit: the noise comes from each
-        engine's own RNG (same draws, same order), and the clamp/IIR
-        updates are the same ufuncs broadcast over the UE axis.  Each
-        engine's round is stashed in ``_pending_round`` for its next
-        :meth:`step` call to consume; filter state is committed here.
-
-        Returns ``(rounds, filt_rsrp, filt_rsrq, eligible)`` with the
-        arrays shaped (UE, max cells) for the caller's batched event
-        pass; callers slice row ``g`` to its own cell count.
-        """
-        g = len(engines)
-        ns = [len(snap.prepared.cells) for snap in snaps]
-        max_n = max(ns)
-        pad = MeasurementEngine._BATCH_PAD
-        rsrp_raw = np.full((g, max_n), pad)
-        rsrq_raw = np.full((g, max_n), pad)
-        noise_rsrp = np.zeros((g, max_n))
-        noise_rsrq = np.zeros((g, max_n))
-        prev_rsrp = np.zeros((g, max_n))
-        prev_rsrq = np.zeros((g, max_n))
-        has = np.zeros((g, max_n), dtype=bool)
-        floors = np.empty((g, 1))
-        alpha = np.empty((g, 1))
-        stds = np.empty((g, 1))
-        for gi in range(g):
-            eng, snap, n = engines[gi], snaps[gi], ns[gi]
-            prepared = snap.prepared
-            raw_rsrp, raw_rsrq, _ = snap.metric_arrays()
-            rsrp_raw[gi, :n] = raw_rsrp
-            rsrq_raw[gi, :n] = raw_rsrq
-            z = eng._noise(2 * n)
-            noise_rsrp[gi, :n] = z[:n]
-            noise_rsrq[gi, :n] = z[n:]
-            if eng._aligned is not prepared:
-                eng._realign(prepared)
-            prev_rsrp[gi, :n] = eng._filt_rsrp
-            prev_rsrq[gi, :n] = eng._filt_rsrq
-            has[gi, :n] = eng._has_filt
-            floors[gi, 0] = eng.detection_floor_dbm
-            alpha[gi, 0] = eng.alpha
-            stds[gi, 0] = eng.noise_std_db
-        # Scaling the unit draws afterwards is the same multiply the
-        # per-engine path performs (z * std, z * (std / 2)).
-        noise_rsrp *= stds
-        noise_rsrq *= stds / 2.0
-        eligible = rsrp_raw >= floors
-        for gi, serving in enumerate(servings):
-            serving_i = snaps[gi].prepared.index.get(serving.cell_id)
-            if serving_i is not None:
-                eligible[gi, serving_i] = True
-        lo, hi = RSRP_RANGE_DBM
-        noisy_rsrp = np.minimum(np.maximum(rsrp_raw + noise_rsrp, lo), hi)
-        lo, hi = RSRQ_RANGE_DB
-        noisy_rsrq = np.minimum(np.maximum(rsrq_raw + noise_rsrq, lo), hi)
-        one_minus_alpha = 1.0 - alpha
-        filt_rsrp = np.where(
-            has, one_minus_alpha * prev_rsrp + alpha * noisy_rsrp, noisy_rsrp
-        )
-        filt_rsrq = np.where(
-            has, one_minus_alpha * prev_rsrq + alpha * noisy_rsrq, noisy_rsrq
-        )
-        rounds: list[MeasurementRound] = []
-        for gi in range(g):
-            eng, n = engines[gi], ns[gi]
-            row_rsrp = filt_rsrp[gi, :n]
-            row_rsrq = filt_rsrq[gi, :n]
-            row_elig = eligible[gi, :n]
-            eng._filt_rsrp, eng._filt_rsrq, eng._has_filt = row_rsrp, row_rsrq, row_elig
-            round_ = MeasurementRound(snaps[gi].prepared, row_rsrp, row_rsrq, row_elig)
-            eng._pending_round = round_
-            rounds.append(round_)
-        return rounds, filt_rsrp, filt_rsrq, eligible
-
     # -- scalar reference path ----------------------------------------------
 
     def _step_scalar(
@@ -590,13 +498,15 @@ class MeasurementEngine:
 class BatchMeasurementState:
     """Persistent (UE x cell) matrices for a lockstep fleet shard.
 
-    :meth:`MeasurementEngine.step_connected_batch` rebuilds its input
-    matrices from every engine on every call; for a fleet ticking the
-    same UEs in lockstep most rows are unchanged tick over tick (a
-    parked UE's raw snapshot never changes, and its filter state is
-    exactly last tick's output).  This class keeps the matrices alive
-    across ticks, refreshes only rows that went stale, and updates the
-    filter/eligibility matrices **in place**:
+    One connected measurement round for many engines at once.  Lanes
+    may live in *different* snapshot-cache neighborhoods: row ``r``
+    spans its own prepared cell list and is padded out to the widest
+    one with :data:`_BATCH_PAD` (ineligible by construction).  For a
+    fleet ticking the same UEs in lockstep most rows are unchanged tick
+    over tick (a parked UE's raw snapshot never changes, and its filter
+    state is exactly last tick's output), so the matrices live across
+    ticks, only rows that went stale are refreshed, and the
+    filter/eligibility matrices are updated **in place**:
 
     * Raw metric rows are rewritten only when a UE's snapshot object
       changed (movers every tick, parked UEs never).
@@ -619,12 +529,16 @@ class BatchMeasurementState:
     or the full-matrix ufuncs would scribble over live engine state.
 
     Values are bit-identical to per-engine :meth:`_step_vectorized`
-    rounds for the same reason the stateless batch is: every update is
-    the same elementwise ufunc on the same operand values, and each
-    engine's RNG draws its own noise in its own order
-    (``standard_normal`` twice consumes the stream exactly as one
-    ``normal(0, 1, 2n)`` draw does).
+    rounds: every update is the same elementwise ufunc on the same
+    operand values, and each engine's RNG draws its own noise in its
+    own order (``standard_normal`` twice consumes the stream exactly as
+    one ``normal(0, 1, 2n)`` draw does).
     """
+
+    #: Raw-metric value used to pad rows past a lane's own cell count:
+    #: far below every detection floor, so padded positions are never
+    #: eligible.
+    _BATCH_PAD = -1.0e9
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
@@ -662,15 +576,12 @@ class BatchMeasurementState:
         self._sv_rows: np.ndarray | None = None
         self._sv_cols: np.ndarray | None = None
         self._sv_for_rows: list | None = None
-        #: Optional ``REPRO_PROFILE`` stage-timing sink (the fleet
-        #: simulator attaches its own profile dict here).
-        self.profile: dict | None = None
 
     def _grow(self, need_n: int) -> None:
         """(Re)allocate matrices for a larger cell axis; all rows stale."""
         self.max_n = need_n
         g = self.n_rows
-        pad = MeasurementEngine._BATCH_PAD
+        pad = self._BATCH_PAD
         self._raw_rsrp = np.full((g, need_n), pad)
         self._raw_rsrq = np.full((g, need_n), pad)
         self._prev_rsrp = np.zeros((g, need_n))
@@ -720,9 +631,7 @@ class BatchMeasurementState:
         are created here — the caller materializes them only for lanes
         that actually consume one.
         """
-        profile = self.profile
-        t0 = perf_counter() if profile is not None else 0.0
-        pad = MeasurementEngine._BATCH_PAD
+        pad = self._BATCH_PAD
         need_n = max(len(snap.prepared.cells) for snap in snaps)
         if need_n > self.max_n:
             self._grow(need_n)
@@ -796,10 +705,6 @@ class BatchMeasurementState:
             if memo is None or memo[0] is not serving or memo[1] is not prepared:
                 serving_memo[r] = (serving, prepared, prepared.index.get(serving.cell_id))
                 sv_dirty = True
-        if profile is not None:
-            now = perf_counter()
-            profile["bs_loop"] = profile.get("bs_loop", 0.0) + now - t0
-            t0 = now
         # Scaling the unit draws is the same multiply the per-engine
         # path performs (z * std, z * (std / 2)); the noise rows are
         # consumed destructively (rewritten with fresh draws next tick).
@@ -834,10 +739,6 @@ class BatchMeasurementState:
         # dataflow), then serving cells are forced eligible in one
         # cached fancy-index write.
         np.greater_equal(raw_rsrp, self._floors, out=has)
-        if profile is not None:
-            now = perf_counter()
-            profile["bs_matrix"] = profile.get("bs_matrix", 0.0) + now - t0
-            t0 = now
         if sv_dirty:
             pairs = [
                 (r, serving_memo[r][2])
@@ -852,6 +753,4 @@ class BatchMeasurementState:
             )
             self._sv_for_rows = list(rows)
         has[self._sv_rows, self._sv_cols] = True
-        if profile is not None:
-            profile["bs_sv"] = profile.get("bs_sv", 0.0) + perf_counter() - t0
         return prev_rsrp, prev_rsrq, has

@@ -1,6 +1,5 @@
-"""Tests for the configuration verification toolkit."""
-
-import pytest
+"""The paper's configuration-verification checks (Section 6), through
+:mod:`repro.lint`: per-cell audits, priority conflicts and loops."""
 
 from repro.config.events import EventConfig, EventType
 from repro.config.lte import (
@@ -9,14 +8,14 @@ from repro.config.lte import (
     MeasurementConfig,
     ServingCellConfig,
 )
-from repro.core.analysis.verification import (
-    audit_snapshot,
-    audit_snapshots,
-    detect_priority_conflicts,
-    detect_priority_loops,
-    summarize,
-)
 from repro.core.crawler import CellConfigSnapshot
+from repro.lint import all_rules, lint_snapshots, summarize
+
+_CELL_CODES = [r.code for r in all_rules() if r.scope == "cell"]
+
+
+def _findings(snapshots, codes=None):
+    return lint_snapshots(snapshots, codes=codes).findings
 
 
 def _snapshot(gci=1, channel=850, serving=None, layers=(), meas=None):
@@ -37,7 +36,7 @@ def test_clean_snapshot_minimal_findings():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
+    findings = _findings([snapshot], _CELL_CODES)
     assert findings == []
 
 
@@ -45,7 +44,7 @@ def test_negative_a3_offset_flagged():
     meas = MeasurementConfig(events=(
         EventConfig(event=EventType.A3, offset=-1.0, hysteresis=1.0),
     ))
-    findings = audit_snapshot(_snapshot(meas=meas))
+    findings = _findings([_snapshot(meas=meas)], _CELL_CODES)
     flagged = [f for f in findings if f.code == "HC002"]
     assert flagged and flagged[0].name == "a3-negative-offset"
 
@@ -54,7 +53,7 @@ def test_a5_no_serving_requirement_flagged():
     meas = MeasurementConfig(events=(
         EventConfig(event=EventType.A5, threshold1=-44.0, threshold2=-114.0),
     ))
-    findings = audit_snapshot(_snapshot(meas=meas))
+    findings = _findings([_snapshot(meas=meas)], _CELL_CODES)
     codes = {f.code for f in findings}
     assert "HC003" in codes
     assert "HC004" in codes
@@ -67,7 +66,7 @@ def test_premature_measurement_flagged():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
+    findings = _findings([snapshot], _CELL_CODES)
     assert any(f.code == "HC006" for f in findings)
 
 
@@ -78,7 +77,7 @@ def test_late_nonintra_flagged():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
+    findings = _findings([snapshot], _CELL_CODES)
     assert any(f.code == "HC007" for f in findings)
 
 
@@ -89,7 +88,7 @@ def test_nonintra_above_intra_is_problem():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
+    findings = _findings([snapshot], _CELL_CODES)
     problem = [f for f in findings if f.code == "HC005"]
     assert problem and problem[0].severity == "problem"
 
@@ -101,7 +100,7 @@ def test_priority_conflict_detection():
         _snapshot(gci=2, channel=850,
                   serving=ServingCellConfig(cell_reselection_priority=4)),
     ]
-    findings = detect_priority_conflicts(snapshots)
+    findings = _findings(snapshots, ["HC101"])
     assert len(findings) == 1
     assert findings[0].code == "HC101"
 
@@ -122,7 +121,7 @@ def test_priority_loop_detection():
                                          cell_reselection_priority=5)],
         ),
     ]
-    findings = detect_priority_loops(snapshots)
+    findings = _findings(snapshots, ["HC103"])
     assert any(f.code == "HC103" for f in findings)
     assert findings[0].severity == "problem"
 
@@ -142,14 +141,14 @@ def test_no_loop_with_consistent_priorities():
                                          cell_reselection_priority=3)],
         ),
     ]
-    assert detect_priority_loops(snapshots) == []
+    assert _findings(snapshots, ["HC103"]) == []
 
 
 def test_summarize_counts():
     meas = MeasurementConfig(events=(
         EventConfig(event=EventType.A3, offset=-1.0, hysteresis=1.0),
     ))
-    findings = audit_snapshots([_snapshot(meas=meas), _snapshot(gci=2, meas=meas)])
+    findings = _findings([_snapshot(meas=meas), _snapshot(gci=2, meas=meas)])
     summary = summarize(findings)
     assert summary["HC002"] == 2
 
@@ -170,6 +169,6 @@ def test_audit_real_population(tiny_d2, server):
             writer.write(0, message)
         writer.write(0, tiny_d2.server.connection_reconfiguration(cell))
     snapshots = ConfigCrawler.crawl(writer.getvalue())
-    findings = audit_snapshots(snapshots)
+    findings = _findings(snapshots)
     codes = {f.code for f in findings}
     assert "HC006" in codes

@@ -4,8 +4,7 @@ The vectorized UE tick loop is only acceptable if it is *bit-identical*
 to the scalar reference: same tick samples, same handoffs, same diag
 log bytes.  These tests drive both paths over multi-handoff drives and
 compare the full result bundles, plus the supporting machinery (snapshot
-reuse across the runner tick, the ``REPRO_PROFILE`` hook, the
-``REPRO_SCALAR`` opt-out).
+reuse across the runner tick, the ``REPRO_SCALAR`` opt-out).
 """
 
 from __future__ import annotations
@@ -64,19 +63,6 @@ def test_engine_snapshot_memoized(scenario):
     assert engine.snapshot(origin, "A") is first
     moved = engine.snapshot(origin.offset(40.0, 0.0), "A")
     assert moved is not first
-
-
-def test_profile_hook(scenario, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    result = _drive(scenario, True, Speedtest(), duration_s=30.0)
-    assert result.profile is not None
-    for stage in ("ue_tick", "ground_truth", "measurement", "events"):
-        assert result.profile[stage] > 0.0
-
-
-def test_profile_off_by_default(scenario):
-    result = _drive(scenario, True, Speedtest(), duration_s=30.0)
-    assert result.profile is None
 
 
 def test_scalar_env_opt_out(monkeypatch):

@@ -13,14 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.rrc.codec import encode_message
-from repro.rrc.messages import PhyServingMeas
+from repro.core.analysis.instability import detect_instability
+from repro.datasets.records import HandoffInstance
 from repro.simulate.fleet import (
     DEFAULT_MIX,
     FleetOptions,
     FleetSimulator,
     UEResult,
-    _phy_template,
     aggregate,
     count_ping_pongs,
     make_traffic,
@@ -89,8 +88,15 @@ def test_parked_trajectory_holds_position():
 # -- bit-parity guarantees ------------------------------------------------
 
 
-def test_fleet_ue_matches_solo_drive(fleet_results):
+@pytest.mark.parametrize("traffic", ["speedtest", "iperf", "ping", "idle"])
+def test_fleet_ue_matches_solo_drive(fleet_results, traffic):
+    # Each service takes its own branch of the shared tick body: the
+    # speedtest shortcut, rate-limited delivery, ping probes, and idle
+    # (never connected, so never batched).
     options, results = fleet_results
+    if traffic != options.traffic:
+        options = _options(traffic=traffic)
+        results = FleetSimulator(options.scenario.build(), options).simulate()
     scenario = options.scenario.build()
     for spec in ue_specs(options):
         if spec.profile == "parked" and spec.index > 0:
@@ -107,6 +113,8 @@ def test_fleet_ue_matches_solo_drive(fleet_results):
         assert solo.handoffs == ue.handoffs
         assert solo.diag_log == ue.diag_log
         assert solo.ping_rtts_ms == ue.ping_rtts_ms
+    if traffic == "ping":
+        assert any(ue.ping_rtts_ms for ue in results)
 
 
 def test_fleet_size_does_not_change_members(fleet_results):
@@ -186,6 +194,16 @@ def test_count_ping_pongs_window():
         _handoff(55_000, "3", "1"),  # 15 s apart: outside the window
     ]
     assert count_ping_pongs(events) == 1
+    # The trace-side analysis counts the same hop sequence identically.
+    instances = [
+        HandoffInstance(
+            kind="active", carrier="A", time_ms=e.time_ms,
+            source_gci=e.source.gci, target_gci=e.target.gci,
+            source_channel=850, target_channel=850, intra_freq=True,
+        )
+        for e in events
+    ]
+    assert detect_instability(instances).n_ping_pongs == 1
 
 
 def test_aggregate_rates():
@@ -237,31 +255,6 @@ def test_noise_tap_partition_invariance(env):
     served = [engine._noise(m).copy() for m in (3, 4096, 1, 800, 100)]
     tapped = np.concatenate(served)
     assert tapped.tolist() == unbuffered[: len(tapped)].tolist()
-
-
-def test_phy_template_matches_codec(lte_cell):
-    head, mid, tail, base_sum, length = _phy_template(lte_cell)
-    for rsrp, rsrq in ((-97.25, -11.5), (-140.0, -3.0)):
-        import struct
-
-        p1 = struct.pack("<d", rsrp)
-        p2 = struct.pack("<d", rsrq)
-        spliced = b"".join((head, bytes([3]), p1, mid, bytes([3]), p2, tail))
-        reference = encode_message(
-            PhyServingMeas(
-                carrier=lte_cell.carrier,
-                gci=lte_cell.cell_id.gci,
-                channel=lte_cell.channel,
-                rat=lte_cell.rat.value,
-                rsrp_dbm=rsrp,
-                rsrq_db=rsrq,
-                sinr_db=0.0,
-                rrc_connected=True,
-            )
-        )
-        assert spliced == reference
-        assert len(spliced) == length
-        assert (base_sum + sum(p1) + sum(p2)) & 0xFFFF == sum(reference) & 0xFFFF
 
 
 def test_snapshot_cache_reserve_never_shrinks(env):
