@@ -141,16 +141,6 @@ class ShadowingField:
         phase = np.stack([self._coeffs(c)[2] for c in cells])
         return kx, ky, phase
 
-    def sample_many(self, cells: list[Cell], location: Point) -> np.ndarray:
-        """Vectorized shadowing for many cells at one location."""
-        if self.sigma_db == 0:
-            return np.zeros(len(cells))
-        if not cells:
-            return np.zeros(0)
-        kx, ky, phase = self.stacked_coeffs(cells)
-        values = np.cos(kx * location.x + ky * location.y + phase).sum(axis=1)
-        return values * self.sigma_db * math.sqrt(2.0 / self.n_components)
-
 
 class RadioModel:
     """Computes received signal metrics for cells at locations."""
@@ -399,17 +389,22 @@ class RadioSnapshot:
     Built once per simulation tick by
     :meth:`repro.cellnet.world.RadioEnvironment.snapshot`; RSRP is
     computed vectorized up front, RSRQ/SINR lazily per cell from the
-    same co-channel power sums.
+    same co-channel power sums.  ``metrics`` installs that bundle up
+    front instead; it must be exactly what the lazy computation would
+    produce (:meth:`~repro.cellnet.world.RadioEnvironment.snapshot_batch`
+    computes it for many snapshots at once with
+    :func:`compute_metrics_batch`).
     """
 
     def __init__(self, model: RadioModel, prepared: PreparedCells, rsrp: np.ndarray,
-                 location: Point):
+                 location: Point, metrics: tuple | None = None):
         self._model = model
         self.prepared = prepared
         self.location = location
         self._rsrp = rsrp
-        #: Lazily computed (rsrq, sinr, power_mw, own_totals_mw) bundle.
-        self._metrics: tuple | None = None
+        #: The (rsrq, sinr, power_mw, own_totals_mw) bundle, computed
+        #: lazily unless given.
+        self._metrics = metrics
         #: Per-cell :class:`Measurement` memo — parked/co-located UEs ask
         #: the same snapshot for the same serving cell tick after tick.
         self._measure_memo: dict = {}
@@ -425,11 +420,6 @@ class RadioSnapshot:
     def rsrp(self, cell: Cell) -> float:
         """RSRP of one snapshot cell (KeyError if not audible)."""
         return float(self._rsrp[self.prepared.index[cell.cell_id]])
-
-    @property
-    def rsrp_array(self) -> np.ndarray:
-        """RSRP of every snapshot cell, aligned with ``cells``."""
-        return self._rsrp
 
     def _compute_metrics(self) -> tuple:
         if self._metrics is None:
@@ -458,23 +448,6 @@ class RadioSnapshot:
             return empty, empty, empty
         rsrq, sinr, _, _ = self._compute_metrics()
         return self._rsrp, rsrq, sinr
-
-    def prime_metrics(
-        self,
-        rsrq: np.ndarray,
-        sinr: np.ndarray,
-        power_mw: np.ndarray,
-        own_totals: np.ndarray,
-    ) -> None:
-        """Install externally computed metric arrays (fleet batching).
-
-        The arrays must be exactly what :meth:`_compute_metrics` would
-        have produced for this snapshot's RSRP — the fleet simulator
-        computes them for many snapshots in one batched pass
-        (:func:`compute_metrics_batch`) and hands each snapshot its row.
-        """
-        if self._metrics is None:
-            self._metrics = (rsrq, sinr, power_mw, own_totals)
 
     def measure(self, cell: Cell) -> Measurement:
         """Full measurement of one snapshot cell (memoized per cell)."""

@@ -22,6 +22,7 @@ from repro.cellnet.radio import (
     PreparedCells,
     RadioModel,
     RadioSnapshot,
+    compute_metrics_batch,
 )
 from repro.cellnet.rat import RAT
 
@@ -204,11 +205,12 @@ class RadioEnvironment:
         """Snapshots of many (location, carrier) spots, batched physics.
 
         Spots sharing a prepared neighborhood run the RSRP chain as one
-        broadcast pass (:meth:`RadioModel.rsrp_prepared_batch`).  Entry
-        ``j`` is bit-identical to ``snapshot(spots[j][0], spots[j][1])``
-        — RSRQ/SINR stay lazy, exactly as the single-spot path leaves
-        them (their per-snapshot accumulation is sequential by
-        construction, so batching them saves nothing).
+        broadcast pass (:meth:`RadioModel.rsrp_prepared_batch`), and
+        their RSRQ/SINR arrays are primed in one more
+        (:func:`compute_metrics_batch`), so no consumer pays the lazy
+        per-snapshot computation.  A lone spot keeps the single-location
+        chain and lazy RSRQ/SINR.  Entry ``j`` is bit-identical to
+        ``snapshot(spots[j][0], spots[j][1])``.
         """
         groups: dict[int, tuple[PreparedCells, list[int]]] = {}
         for j, (location, carrier) in enumerate(spots):
@@ -231,8 +233,12 @@ class RadioEnvironment:
             xs = np.fromiter((spots[j][0].x for j in idxs), float, count=count)
             ys = np.fromiter((spots[j][0].y for j in idxs), float, count=count)
             rsrp = self.radio.rsrp_prepared_batch(prepared, xs, ys)
+            rsrq, sinr, power_mw, own_totals = compute_metrics_batch(prepared, rsrp)
             for k, j in enumerate(idxs):
-                out[j] = RadioSnapshot(self.radio, prepared, rsrp[k], spots[j][0])
+                out[j] = RadioSnapshot(
+                    self.radio, prepared, rsrp[k], spots[j][0],
+                    (rsrq[k], sinr[k], power_mw[k], own_totals[k]),
+                )
         return out
 
     def reserve_snapshot_capacity(self, occupied_keys: int) -> None:

@@ -497,7 +497,7 @@ def _run_build_d1(args: argparse.Namespace) -> int:
     import time
 
     from repro.datasets.d1 import D1Options, build_d1
-    from repro.experiments.common import default_workers
+    from repro.pipeline import default_workers
 
     options = D1Options(
         seed=args.seed,
@@ -530,7 +530,7 @@ def _run_build_d2(args: argparse.Namespace) -> int:
     import time
 
     from repro.datasets.d2 import D2Options, build_d2
-    from repro.experiments.common import default_workers
+    from repro.pipeline import default_workers
 
     options = D2Options(
         seed=args.seed,

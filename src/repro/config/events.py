@@ -27,8 +27,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.config.units import (
     REPORT_AMOUNT,
     REPORT_INTERVAL_MS,
@@ -60,12 +58,6 @@ class EventType(enum.Enum):
     def needs_neighbor(self) -> bool:
         """Whether the entry condition involves a neighbor measurement."""
         return self not in (EventType.A1, EventType.A2, EventType.PERIODIC)
-
-    @property
-    def needs_serving(self) -> bool:
-        """Whether the entry condition involves the serving measurement."""
-        return self in (EventType.A1, EventType.A2, EventType.A3,
-                        EventType.A5, EventType.A6, EventType.B2)
 
 
 @dataclass(frozen=True)
@@ -230,47 +222,33 @@ def evaluate_leave(
 
 
 def entry_mask(
-    config: EventConfig, serving: float | None, neighbors: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`evaluate_entry` over a neighbor-value array.
+    event: EventType,
+    serving,
+    neighbors,
+    hysteresis,
+    threshold1=None,
+    threshold2=None,
+    offset=0.0,
+):
+    """Vectorized :func:`evaluate_entry`: the one array form of every entry condition.
 
-    Evaluates the entry condition of one neighbor-triggered event
-    (A3-A6, B1, B2) for every candidate in one masked array pass; the
-    comparisons are written exactly as the scalar evaluator's so both
-    paths agree bit for bit.  Serving-only events (A1/A2, periodic) have
-    no neighbor axis and stay on the scalar evaluator.
+    Every operand broadcasts, so the same comparisons serve one UE and
+    many.  One UE passes the armed config's scalars with its neighbor
+    value array; a batch of UEs passes ``(UE, 1)`` columns of serving
+    values and per-member parameters with a ``(UE, cell)`` neighbor
+    matrix.  The comparisons are written exactly as the scalar
+    evaluator's, so every element agrees with :func:`evaluate_entry`
+    bit for bit.  Serving-only events (A1/A2) ignore ``neighbors`` and
+    return the serving condition's shape.
     """
-    e, hys = config.event, config.hysteresis
-    if e in (EventType.A3, EventType.A6):
-        if serving is None:
-            return np.zeros(len(neighbors), dtype=bool)
-        return neighbors - hys > serving + config.offset
-    if e in (EventType.A4, EventType.B1):
-        return neighbors - hys > config.threshold1
-    if e in (EventType.A5, EventType.B2):
-        if serving is None or not serving + hys < config.threshold1:
-            return np.zeros(len(neighbors), dtype=bool)
-        return neighbors - hys > config.threshold2
-    raise NotImplementedError(f"event {e.value} has no neighbor entry mask")
-
-
-def entry_mask_batch(
-    config: EventConfig, serving: np.ndarray, neighbors: np.ndarray
-) -> np.ndarray:
-    """:func:`entry_mask` for many UEs at once.
-
-    ``serving`` holds each UE's serving-cell metric (length G) and
-    ``neighbors`` the (UE x cell) candidate-value matrix; row ``g`` of
-    the result is bit-identical to
-    ``entry_mask(config, serving[g], neighbors[g])`` — the comparisons
-    are the same ufuncs, broadcast over the UE axis.
-    """
-    e, hys = config.event, config.hysteresis
-    if e in (EventType.A3, EventType.A6):
-        return neighbors - hys > serving[:, None] + config.offset
-    if e in (EventType.A4, EventType.B1):
-        return neighbors - hys > config.threshold1
-    if e in (EventType.A5, EventType.B2):
-        serving_ok = serving + hys < config.threshold1
-        return serving_ok[:, None] & (neighbors - hys > config.threshold2)
-    raise NotImplementedError(f"event {e.value} has no neighbor entry mask")
+    if event in (EventType.A4, EventType.B1):
+        return neighbors - hysteresis > threshold1
+    if event is EventType.A1:
+        return serving - hysteresis > threshold1
+    if event is EventType.A2:
+        return serving + hysteresis < threshold1
+    if event in (EventType.A3, EventType.A6):
+        return neighbors - hysteresis > serving + offset
+    if event in (EventType.A5, EventType.B2):
+        return (serving + hysteresis < threshold1) & (neighbors - hysteresis > threshold2)
+    raise NotImplementedError(f"event {event.value} has no entry mask")

@@ -18,11 +18,11 @@ pool.  Worker count never changes the datasets, only the build time.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.datasets.d1 import D1Build, D1Options, build_d1
 from repro.datasets.d2 import D2Build, D2Options, build_d2
+from repro.pipeline import default_workers
 from repro.simulate.scenarios import DriveScenario, drive_scenario
 
 
@@ -97,14 +97,6 @@ def paper_scale_d2_options() -> D2Options:
         extra_rings=3,
         include_dense=True,
     )
-
-
-def default_workers() -> int:
-    """Default build parallelism: the ``REPRO_WORKERS`` env var, or 1."""
-    try:
-        return max(int(os.environ.get("REPRO_WORKERS", "1")), 1)
-    except ValueError:
-        return 1
 
 
 def default_d1(scale: float = 1.0, workers: int | None = None) -> D1Build:

@@ -35,6 +35,46 @@ SARIF_SCHEMA = (
 )
 
 
+def _findings_text(report, verbose: bool, details: dict[str, str]) -> list[str]:
+    """Lines shared by both text reports: code counts, findings, severities.
+
+    The per-code count table, then each code's first finding (every
+    finding when ``verbose``), each followed by its indented line in
+    ``details`` (keyed by fingerprint) if it has one, then the
+    per-severity totals.
+    """
+    lines: list[str] = []
+    counts = report.counts_by_code()
+    if counts:
+        names = {rule.code: rule.name for rule in all_rules()}
+        lines.append("")
+        for code, count in counts.items():
+            lines.append(f"  {code}  {names.get(code, '?'):32s} {count:6d}")
+        lines.append("")
+    shown: set[str] = set()
+    for finding in report.findings:
+        first_of_code = finding.code not in shown
+        shown.add(finding.code)
+        if not (verbose or first_of_code):
+            continue
+        where = f"{finding.carrier}/{finding.gci}" if finding.gci >= 0 else finding.carrier
+        if finding.channel >= 0:
+            where += f" ch{finding.channel}"
+        prefix = "" if verbose else "e.g. "
+        lines.append(
+            f"{prefix}{finding.code} [{finding.severity}] {where}: {finding.message}"
+        )
+        detail = details.get(finding.fingerprint)
+        if detail is not None:
+            lines.append(detail)
+    severities = report.counts_by_severity()
+    lines.append(
+        f"{severities['problem']} problems, {severities['warning']} warnings, "
+        f"{severities['info']} informational"
+    )
+    return lines
+
+
 def render_text(report: LintReport, verbose: bool = False) -> str:
     """Human-readable report: summary table plus per-finding lines."""
     lines = [
@@ -61,34 +101,11 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
             f"{cov.regions} fire regions, {cov.gaps} critical-band gaps, "
             f"{cov.witnesses} replayable witnesses"
         )
-    counts = report.counts_by_code()
-    if counts:
-        names = {rule.code: rule.name for rule in all_rules()}
-        lines.append("")
-        for code, count in counts.items():
-            lines.append(f"  {code}  {names.get(code, '?'):32s} {count:6d}")
-        lines.append("")
-    shown: set[str] = set()
-    for finding in report.findings:
-        first_of_code = finding.code not in shown
-        shown.add(finding.code)
-        if not (verbose or first_of_code):
-            continue
-        where = f"{finding.carrier}/{finding.gci}" if finding.gci >= 0 else finding.carrier
-        if finding.channel >= 0:
-            where += f" ch{finding.channel}"
-        prefix = "" if verbose else "e.g. "
-        lines.append(
-            f"{prefix}{finding.code} [{finding.severity}] {where}: {finding.message}"
-        )
-        witness = report.witnesses.get(finding.fingerprint)
-        if witness is not None:
-            lines.append(f"    witness ({witness.kind}): {witness.note}")
-    severities = report.counts_by_severity()
-    lines.append(
-        f"{severities['problem']} problems, {severities['warning']} warnings, "
-        f"{severities['info']} informational"
-    )
+    witnesses = {
+        fingerprint: f"    witness ({witness.kind}): {witness.note}"
+        for fingerprint, witness in report.witnesses.items()
+    }
+    lines.extend(_findings_text(report, verbose, witnesses))
     return "\n".join(lines)
 
 
@@ -254,40 +271,13 @@ def render_diff_text(report: "DriftReport", verbose: bool = False) -> str:
         f"({len(report.introduced)} introduced, {len(report.fixed)} fixed, "
         f"{len(report.suppressed)} baseline-suppressed)"
     )
-    counts = report.counts_by_code()
-    if counts:
-        names = {rule.code: rule.name for rule in all_rules()}
-        lines.append("")
-        for code, count in counts.items():
-            lines.append(f"  {code}  {names.get(code, '?'):32s} {count:6d}")
-        lines.append("")
     blamed_changes = {c.change_id: c for c in report.changes}
-    shown: set[str] = set()
-    for finding in report.findings:
-        first_of_code = finding.code not in shown
-        shown.add(finding.code)
-        if not (verbose or first_of_code):
-            continue
-        where = (
-            f"{finding.carrier}/{finding.gci}" if finding.gci >= 0
-            else finding.carrier
-        )
-        if finding.channel >= 0:
-            where += f" ch{finding.channel}"
-        prefix = "" if verbose else "e.g. "
-        lines.append(
-            f"{prefix}{finding.code} [{finding.severity}] {where}: "
-            f"{finding.message}"
-        )
-        change_id = report.blame.get(finding.fingerprint)
-        culprit = blamed_changes.get(change_id) if change_id else None
-        if culprit is not None:
-            lines.append(f"    blame: {culprit.describe()}")
-    severities = report.counts_by_severity()
-    lines.append(
-        f"{severities['problem']} problems, {severities['warning']} warnings, "
-        f"{severities['info']} informational"
-    )
+    blames = {
+        fingerprint: f"    blame: {blamed_changes[change_id].describe()}"
+        for fingerprint, change_id in report.blame.items()
+        if change_id in blamed_changes
+    }
+    lines.extend(_findings_text(report, verbose, blames))
     return "\n".join(lines)
 
 

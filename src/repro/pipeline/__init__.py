@@ -27,6 +27,7 @@ from repro.pipeline.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
+    default_workers,
     resolve_backend,
 )
 from repro.pipeline.context import clear_process_cache, process_cached
@@ -38,6 +39,7 @@ __all__ = [
     "SerialBackend",
     "WorkUnit",
     "clear_process_cache",
+    "default_workers",
     "process_cached",
     "resolve_backend",
 ]

@@ -99,6 +99,24 @@ class ProcessPoolBackend:
                     yield result
 
 
+def default_workers() -> int:
+    """Default worker count: the ``REPRO_WORKERS`` env var, or 1 when unset.
+
+    Raises:
+        ValueError: the variable is set to anything but an integer >= 1.
+    """
+    raw = os.environ.get("REPRO_WORKERS")
+    if raw is None:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"REPRO_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def resolve_backend(
     workers: int | None = None, backend: ExecutionBackend | None = None
 ) -> ExecutionBackend:

@@ -11,19 +11,27 @@ so the fleet front-loads the per-tick hot path in batches:
 
 * **Shared radio snapshots** — UEs standing at the same spot (parked
   clusters, transit riders on one line) share a single physics pass per
-  tick; everyone else's neighborhoods come from the environment's
-  prepared-cell LRU, whose capacity is grown to the fleet's working set
+  tick, and a moving trajectory's next ticks are computed ahead in one
+  :meth:`~repro.cellnet.world.RadioEnvironment.snapshot_batch` call;
+  neighborhoods come from the environment's prepared-cell LRU, whose
+  capacity is grown to the fleet's working set
   (:meth:`~repro.cellnet.world.RadioEnvironment.reserve_snapshot_capacity`).
 * **Batched measurement rounds** — the L3 filter state of every
   batched UE, whatever neighborhood it lives in, is promoted to
   persistent (UE x cell) matrices updated in place each tick
   (:class:`~repro.ue.measurement.BatchMeasurementState`); rounds are
   materialized only for lanes whose tick consumes one.
-* **Batched event evaluation** — lanes are grouped by armed-event
-  signature and each event's entry condition is evaluated as one
-  masked (UE x cell) pass; ticks proven no-ops take
+* **Batched event evaluation** —
+  :func:`~repro.ue.reporting.step_events_batch` evaluates every armed
+  entry condition as one masked (UE x cell) pass per event signature;
+  UEs whose tick it proves a no-op take
   :meth:`~repro.ue.device.UserEquipment.quiet_tick`, skipping the
   per-lane event machinery entirely.
+
+The fleet decides nothing from another module's state: it only calls
+the public interfaces of the UE, its measurement engine and the radio
+environment, so every tick decision has one owner in :mod:`repro.ue`
+or :mod:`repro.cellnet`.
 * **Sharding** — fleets split into :class:`FleetShardUnit` work units
   over the :mod:`repro.pipeline` backends; per-UE seeds come from
   ``numpy.random.SeedSequence.spawn``, so every UE's result is
@@ -41,17 +49,14 @@ due this tick) simply takes its own full tick.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from repro.cellnet.radio import compute_metrics_batch
 from repro.cellnet.rat import RAT
-from repro.config.events import EventType
-from repro.pipeline.backends import ExecutionBackend, resolve_backend
+from repro.pipeline.backends import ExecutionBackend, default_workers, resolve_backend
 from repro.pipeline.unit import WorkUnit
 from repro.simulate.mobility import Trajectory, grid_drive, parked_position
 from repro.simulate.runner import DriveLane, DriveResult, TickSample
@@ -64,7 +69,8 @@ from repro.simulate.traffic import (
     TrafficModel,
 )
 from repro.ue.device import HandoffEvent, RrcState
-from repro.ue.measurement import BatchMeasurementState, MeasurementRound
+from repro.ue.measurement import BatchMeasurementState
+from repro.ue.reporting import step_events_batch
 from repro.util import PING_PONG_WINDOW_MS, count_ping_pong_hops
 
 #: Default population mix: mostly parked devices, a transit-riding
@@ -83,31 +89,6 @@ _PROFILE_SPEEDS_KMH = {"pedestrian": 5.0, "vehicle": 40.0, "transit": 30.0}
 #: keeps every profile's trajectory duration close to ``duration_s``
 #: (a 450 m minimum leg at walking pace would last 5 minutes).
 _PROFILE_BLOCK_M = {"pedestrian": 100.0, "vehicle": 450.0, "transit": 450.0}
-
-def _monitor_batch_info(meas_config) -> tuple:
-    """Grouping key and parameter matrix for the batched event pass.
-
-    Returns ``(signature, params, s_measure, periodic)`` where
-    ``signature`` is the armed ``(event, metric)`` tuple — the batch
-    groups lanes by it — and ``params`` is an ``(events, 4)`` float
-    matrix of ``[hysteresis, threshold1, threshold2, offset]`` rows
-    (absent thresholds as 0.0; their events never read them).
-    """
-    events = meas_config.events
-    signature = tuple((c.event, c.metric) for c in events)
-    params = np.array(
-        [
-            [
-                c.hysteresis,
-                0.0 if c.threshold1 is None else c.threshold1,
-                0.0 if c.threshold2 is None else c.threshold2,
-                c.offset,
-            ]
-            for c in events
-        ],
-        dtype=np.float64,
-    ).reshape(len(events), 4)
-    return signature, params, meas_config.s_measure, meas_config.periodic
 
 
 def make_traffic(name: str) -> TrafficModel:
@@ -542,10 +523,8 @@ class FleetSimulator:
             # look-ahead chunk of precomputed physics.
             for group in spots.values():
                 first = group[0]
-                meas = first.ue.meas
-                location = first.location
-                if (location.x, location.y, first.carrier) == meas._snap_key:
-                    snap = meas._snap
+                snap = first.ue.meas.cached_snapshot(first.location, first.carrier)
+                if snap is not None:
                     adopters = group[1:]
                 else:
                     snap = self._lookahead_snap(first, now_ms)
@@ -569,9 +548,6 @@ class FleetSimulator:
                     and ue.meas.vectorized
                     and not (command is not None and now_ms >= command.execute_at_ms)
                 ):
-                    # The spots pass above (or the initial camp, for
-                    # parked lanes) set every lane's snapshot memo, so
-                    # _batch_step can read meas._snap directly.
                     batch.append(lane)
                     lane.batched = True
                 elif lane.batched:
@@ -579,8 +555,8 @@ class FleetSimulator:
                     batch_state.detach(ue.meas)
             if batch:
                 self._batch_step(now_ms, batch, batch_state)
-            # Per-lane tick: consumes the pending rounds and injected
-            # masks; lanes outside the batch take their full tick.
+            # Per-lane tick: consumes the batch's round or quiet verdict;
+            # lanes outside the batch take their full tick.
             for lane in active:
                 lane.step(now_ms)
             now_ms += options.tick_ms
@@ -614,8 +590,8 @@ class FleetSimulator:
         """This tick's snapshot for a moving lane, physics precomputed.
 
         A trajectory's future positions are a pure function of time, so
-        the RSRP chain for the next ``_LOOKAHEAD_TICKS`` ticks runs as
-        one broadcast pass per prepared neighborhood
+        the physics of the next ``_LOOKAHEAD_TICKS`` ticks runs as one
+        broadcast pass per prepared neighborhood
         (:meth:`RadioEnvironment.snapshot_batch`); every lane riding the
         same trajectory and carrier consumes the same chunk.  Each
         snapshot is bit-identical to what ``env.snapshot`` would build
@@ -641,24 +617,6 @@ class FleetSimulator:
             for k in range(horizon)
         ]
         snaps = self.scenario.env.snapshot_batch(spots, radius_m=lane.ue.meas.radius_m)
-        # Prime the chunk's RSRQ/SINR arrays in one batched pass per
-        # shared prepared set (rows bit-identical to the lazy
-        # per-snapshot computation), so the per-tick consumers — raw
-        # measurement rows, the runner's ground truth — never pay
-        # ``_compute_metrics`` snapshot by snapshot.
-        groups: dict[int, list] = {}
-        for snap in snaps:
-            if snap._metrics is None and snap.prepared.cells:
-                groups.setdefault(id(snap.prepared), []).append(snap)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            rsrp_mat = np.stack([s.rsrp_array for s in members])
-            rsrq, sinr, power_mw, own_totals = compute_metrics_batch(
-                members[0].prepared, rsrp_mat
-            )
-            for k, s in enumerate(members):
-                s.prime_metrics(rsrq[k], sinr[k], power_mw[k], own_totals[k])
         self._lookahead[key] = (now_ms, snaps)
         return snaps[0]
 
@@ -666,159 +624,15 @@ class FleetSimulator:
         self, now_ms: int, group: list[DriveLane], state: BatchMeasurementState
     ) -> None:
         """Advance every batched UE of this tick in matrix form."""
-        snaps = [lane.ue.meas._snap for lane in group]
-        engines = [lane.ue.meas for lane in group]
-        servings = [lane.ue.serving for lane in group]
+        ues = [lane.ue for lane in group]
         # Matrices are indexed by each lane's persistent row, not its
-        # position in this tick's batch: ``rows[gi]`` maps between them.
+        # position in this tick's batch.
         rows = [lane.row for lane in group]
-        filt_rsrp, filt_rsrq, eligible = state.step(rows, engines, snaps, servings)
-        # Event pass.  Lanes are grouped by armed-event *signature* (the
-        # tuple of (event, metric) pairs the monitor armed), not by
-        # neighborhood: parked UEs scatter over ~50 distinct prepared
-        # lists per tick, so neighborhood subgroups degenerate into
-        # singletons, while a carrier arms only a handful of signatures.
-        # Per-config parameters (hysteresis, thresholds, offset) become
-        # per-member columns; elementwise, ``v[k, j] - hys[k] > th[k]``
-        # is the identical IEEE double comparison entry_mask evaluates
-        # with scalar parameters, so each lane's row stays bit-exact
-        # while one masked pass covers nearly the whole batch.
-        serving_memo = state._serving_memo
-        rat_lte = state._rat_lte
-        # Rounds are materialized lazily: only lanes whose tick actually
-        # consumes one (non-quiet members, and every batched lane the
-        # member loop below does not cover — their ue.tick would
-        # otherwise recompute the round and re-draw RNG) get one.
-        def make_round(gi: int):
-            prepared = snaps[gi].prepared
-            r = rows[gi]
-            n = len(prepared.cells)
-            round_ = MeasurementRound(
-                prepared, filt_rsrp[r, :n], filt_rsrq[r, :n], eligible[r, :n]
-            )
-            engines[gi]._pending_round = round_
-            return round_
-
-        groups: dict[tuple, list[tuple]] = {}
-        for gi, lane in enumerate(group):
-            ue = lane.ue
-            lane.quiet = False
-            monitor = ue.monitor
-            if monitor is None or ue.pending_handover is not None:
-                make_round(gi)
-                continue
-            # state.step just refreshed the (serving, prepared, index)
-            # memo for this row; reuse it instead of re-hashing the id.
-            serving_i = serving_memo[rows[gi]][2]
-            if serving_i is None:
-                # Serving inaudible: the lane's own path handles RLF.
-                make_round(gi)
-                continue
-            info = monitor._batch_info
-            if info is None:
-                info = _monitor_batch_info(monitor.meas_config)
-                monitor._batch_info = info
-            groups.setdefault(info[0], []).append((gi, serving_i, monitor, info))
-        arange_cache: np.ndarray | None = None
-        for signature, members in groups.items():
-            m = len(members)
-            mrows = np.fromiter((rows[t[0]] for t in members), dtype=np.intp, count=m)
-            scols = np.fromiter((t[1] for t in members), dtype=np.intp, count=m)
-            params = np.stack([t[3][1] for t in members])  # (m, events, 4)
-            gates = np.fromiter((t[3][2] for t in members), dtype=np.float64, count=m)
-            sv_rsrp = filt_rsrp[mrows, scols]
-            sv_rsrq = filt_rsrq[mrows, scols]
-            # The s-Measure gate, one comparison for the whole group
-            # (exactly the scalar per-lane check).
-            gate_open = sv_rsrp <= gates
-            if arange_cache is None or len(arange_cache) < m:
-                arange_cache = np.arange(m)
-            # Neighbor candidates: eligibility minus the serving column,
-            # zeroed wholesale for gate-closed members (step_round hands
-            # them no candidates, so their neighbor events never fire).
-            base = eligible[mrows]  # fancy indexing copies
-            base[arange_cache[:m], scols] = False
-            base &= gate_open[:, None]
-            ratm = rat_lte[mrows]
-            intra = base & ratm
-            inter = base & ~ratm
-            values = {"rsrp": filt_rsrp[mrows], "rsrq": filt_rsrq[mrows]}
-            serving_values = {"rsrp": sv_rsrp, "rsrq": sv_rsrq}
-            #: Per-member: does ANY armed event's entry condition hold?
-            any_entry = np.zeros(m, dtype=bool)
-            entries: list = [None] * len(signature)
-            for e_i, (event, metric) in enumerate(signature):
-                hys = params[:, e_i, 0]
-                if event.needs_neighbor:
-                    # entry_mask_batch's comparisons with the scalar
-                    # parameters lifted to per-member columns.
-                    v = values[metric]
-                    hcol = hys[:, None]
-                    if event in (EventType.A3, EventType.A6):
-                        s = serving_values[metric]
-                        entry = v - hcol > (s + params[:, e_i, 3])[:, None]
-                    elif event in (EventType.A4, EventType.B1):
-                        entry = v - hcol > params[:, e_i, 1][:, None]
-                    else:  # A5 / B2
-                        s = serving_values[metric]
-                        serving_ok = s + hys < params[:, e_i, 1]
-                        entry = serving_ok[:, None] & (v - hcol > params[:, e_i, 2][:, None])
-                    entry &= inter if event.is_inter_rat else intra
-                    hot = entry.any(axis=1)
-                    if hot.any():
-                        any_entry |= hot
-                        entries[e_i] = (entry, hot)
-                else:
-                    # A1/A2: the scalar evaluate_entry comparison lifted
-                    # over the member axis (same IEEE double ops).
-                    s = serving_values[metric]
-                    if event is EventType.A1:
-                        any_entry |= s - hys > params[:, e_i, 1]
-                    else:
-                        any_entry |= s + hys < params[:, e_i, 1]
-            for o_i in range(m):
-                gi, serving_i, monitor, info = members[o_i]
-                periodic = info[3]
-                open_ = gate_open[o_i]
-                # Quiet iff no entry holds, every event's TTT/report
-                # state is empty, and no periodic report is due — then
-                # step_round would mutate nothing, and the lane takes
-                # the no-op fast path (UserEquipment.quiet_tick).
-                quiet = not any_entry[o_i]
-                if quiet:
-                    for event_state in monitor._states:
-                        if event_state.entry_since or event_state.reported:
-                            quiet = False
-                            break
-                if quiet and periodic is not None and open_:
-                    last = monitor._last_periodic_ms
-                    if last is None or now_ms - last >= periodic.report_interval_ms:
-                        quiet = False
-                lane = group[gi]
-                if quiet:
-                    # No round: quiet_tick only bumps counters — plus a
-                    # due PHY emission, whose serving metrics are lifted
-                    # out of the batch matrices here.
-                    lane.quiet = True
-                    ue = lane.ue
-                    last = ue._last_phy_meas_ms
-                    if last is None or now_ms - last >= ue.phy_meas_interval_ms:
-                        lane.quiet_fm = (float(sv_rsrp[o_i]), float(sv_rsrq[o_i]))
-                    else:
-                        lane.quiet_fm = None
-                else:
-                    round_ = make_round(gi)
-                    if open_:
-                        ue = lane.ue
-                        n = len(snaps[gi].prepared.cells)
-                        round_._masks[ue.serving.cell_id] = (
-                            intra[o_i, :n],
-                            inter[o_i, :n],
-                        )
-                        monitor._injected_entries = [
-                            e[0][o_i] if e is not None and e[1][o_i] else None
-                            for e in entries
-                        ]
+        # The spots pass (or, for parked lanes, the initial camp) left
+        # this tick's snapshot in every engine's memo.
+        snaps = [lane.ue.meas.snapshot(lane.location, lane.carrier) for lane in group]
+        matrices = state.step(rows, [ue.meas for ue in ues], snaps, [ue.serving for ue in ues])
+        step_events_batch(now_ms, ues, rows, state, *matrices)
 
 
 @dataclass(frozen=True)
@@ -858,13 +672,6 @@ class FleetResult:
         return self.aggregates.total_ticks / self.elapsed_s if self.elapsed_s else 0.0
 
 
-def _env_workers() -> int:
-    try:
-        return max(int(os.environ.get("REPRO_WORKERS", "1")), 1)
-    except ValueError:
-        return 1
-
-
 def run_fleet(
     options: FleetOptions,
     workers: int | None = None,
@@ -877,7 +684,7 @@ def run_fleet(
     is byte-identical for any ``workers``.
     """
     if workers is None:
-        workers = options.workers if options.workers is not None else _env_workers()
+        workers = options.workers if options.workers is not None else default_workers()
     shard_size = max(options.shard_size, 1)
     units = [
         FleetShardUnit(

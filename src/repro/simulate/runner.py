@@ -87,12 +87,13 @@ class DriveLane:
     member and a solo drive with the same seed are the same device.
 
     The fleet front-loads work :meth:`step` would otherwise do itself,
-    never different work: it installs snapshots and measurement rounds
-    into the UE's engine, and when its batched event pass proves a tick
-    a no-op it sets ``quiet`` (plus ``quiet_fm``, the serving cell's
-    filtered (RSRP, RSRQ) when a PHY emission is due), so the tick skips
-    the per-UE event machinery.  ``row`` and ``batched`` are the fleet's
-    batch-matrix bookkeeping; a solo drive never sets any of these.
+    never different work, and only through the UE's own interfaces: it
+    installs snapshots into the UE's engine, and its batched event pass
+    (:func:`~repro.ue.reporting.step_events_batch`) leaves the UE either
+    a measurement round or a quiet verdict that its next
+    :meth:`~repro.ue.device.UserEquipment.tick` consumes.  ``row`` and
+    ``batched`` are the fleet's batch-matrix bookkeeping; a solo drive
+    never sets them.
     """
 
     __slots__ = (
@@ -113,8 +114,6 @@ class DriveLane:
         "location",
         "row",
         "batched",
-        "quiet",
-        "quiet_fm",
         "_occupancy",
         "_gt_snap",
         "_gt_serving",
@@ -151,7 +150,7 @@ class DriveLane:
             env, server, carrier, seed=seed * 1009 + run_index, vectorized=vectorized
         )
         self.writer = DiagWriter.in_memory()
-        self.ue.add_listener(lambda t, message, direction: self.writer.write(t, message))
+        self.ue.attach_diag(self.writer)
         self.throughput = ThroughputModel(
             rng=np.random.default_rng((seed, run_index, 0x7A))
         )
@@ -163,8 +162,6 @@ class DriveLane:
         self.n_ticks = 0
         self.row = -1
         self.batched = False
-        self.quiet = False
-        self.quiet_fm: tuple | None = None
         # Ground-truth serving measurement and capacity memos: a parked
         # UE's (snapshot, serving) pair and load-share epoch repeat for
         # many consecutive ticks, and both lookups are pure given them.
@@ -187,26 +184,7 @@ class DriveLane:
     def step(self, now_ms: int) -> None:
         """One tick at the already-assigned ``location``."""
         ue = self.ue
-        if self.quiet:
-            # The batched event pass proved this tick a no-op; only the
-            # round counters (and a due PHY emission) happen.
-            self.quiet = False
-            fm = self.quiet_fm
-            if fm is None:
-                ue.quiet_tick(now_ms)
-            elif len(ue._listeners) != 1:
-                ue.quiet_tick(now_ms, fm[0], fm[1])
-            else:
-                # The lane's writer is the device's only listener, so
-                # the notify -> dataclass -> encode chain reduces to the
-                # writer's template splice (same record bytes).
-                meas = ue.meas
-                meas.intra_freq_rounds += 1
-                meas.non_intra_freq_rounds += 1
-                ue._last_phy_meas_ms = now_ms
-                self.writer.write_phy_serving(now_ms, ue.serving, fm[0], fm[1])
-        else:
-            ue.tick(now_ms, self.location)
+        ue.tick(now_ms, self.location)
         serving = ue.serving
         # The UE's tick (or, in a fleet, the spots pass or the initial
         # camp) left this tick's snapshot in the engine memo.

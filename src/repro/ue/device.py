@@ -168,6 +168,11 @@ class UserEquipment:
         self.sib_obs_rng = sib_obs_rng
         self.days_since_epoch = 0.0
         self._listeners: list = []
+        #: The diag writer logging this device (see :meth:`attach_diag`).
+        self._diag = None
+        #: Serving (RSRP, RSRQ) left by :meth:`mark_quiet` for the next
+        #: tick, which then runs :meth:`quiet_tick`.
+        self._quiet: tuple[float, float] | None = None
         self.handoffs: list[HandoffEvent] = []
         self._pre_handover_rsrp = -140.0
         self._pre_handover_target_rsrp = -140.0
@@ -188,6 +193,15 @@ class UserEquipment:
         Direction is "down" (network to UE) or "up" (UE to network).
         """
         self._listeners.append(listener)
+
+    def attach_diag(self, writer) -> None:
+        """Log every message to ``writer`` (a :class:`~repro.rrc.diag.DiagWriter`).
+
+        While the writer is the only listener, quiet ticks write their
+        PHY records through its template splice (same bytes).
+        """
+        self._diag = writer
+        self.add_listener(lambda now_ms, message, direction: writer.write(now_ms, message))
 
     def _notify(self, now_ms: int, message: Message, direction: str) -> None:
         for listener in self._listeners:
@@ -252,16 +266,17 @@ class UserEquipment:
         """Whether the user plane is down (handover execution)."""
         return now_ms < self.interrupted_until_ms
 
-    def _phy_meas_due(self, now_ms: int) -> bool:
-        if self._last_phy_meas_ms is None:
-            return True
-        return now_ms - self._last_phy_meas_ms >= self.phy_meas_interval_ms
-
-    def _emit_phy_meas(self, now_ms: int, serving_meas: FilteredMeasurement) -> None:
-        if not self._phy_meas_due(now_ms):
+    def _emit_phy_meas(
+        self, now_ms: int, cell: Cell, rsrp_dbm: float, rsrq_db: float, splice: bool = False
+    ) -> None:
+        """Emit the serving cell's PHY measurement when its cadence is due."""
+        last = self._last_phy_meas_ms
+        if last is not None and now_ms - last < self.phy_meas_interval_ms:
             return
         self._last_phy_meas_ms = now_ms
-        cell = serving_meas.cell
+        if splice and self._diag is not None and len(self._listeners) == 1:
+            self._diag.write_phy_serving(now_ms, cell, rsrp_dbm, rsrq_db)
+            return
         self._notify(
             now_ms,
             PhyServingMeas(
@@ -269,8 +284,8 @@ class UserEquipment:
                 gci=cell.cell_id.gci,
                 channel=cell.channel,
                 rat=cell.rat.value,
-                rsrp_dbm=serving_meas.rsrp_dbm,
-                rsrq_db=serving_meas.rsrq_db,
+                rsrp_dbm=rsrp_dbm,
+                rsrq_db=rsrq_db,
                 sinr_db=0.0,
                 rrc_connected=self.state is RrcState.CONNECTED,
             ),
@@ -295,8 +310,14 @@ class UserEquipment:
     def tick(self, now_ms: int, location) -> list[HandoffEvent]:
         """Advance the device by one simulation step at ``location``.
 
-        Returns handoffs executed during this tick.
+        Returns handoffs executed during this tick.  A tick marked quiet
+        by :meth:`mark_quiet` runs :meth:`quiet_tick` instead.
         """
+        quiet = self._quiet
+        if quiet is not None:
+            self._quiet = None
+            self.quiet_tick(now_ms, quiet[0], quiet[1])
+            return []
         if self.serving is None:
             self.initial_camp(location, now_ms)
         events: list[HandoffEvent] = []
@@ -312,49 +333,30 @@ class UserEquipment:
         self.handoffs.extend(events)
         return events
 
-    def quiet_tick(
-        self,
-        now_ms: int,
-        serving_rsrp: float | None = None,
-        serving_rsrq: float | None = None,
-    ) -> None:
-        """Bookkeeping for a tick the batched pass proved a no-op.
+    def mark_quiet(self, serving_rsrp: float, serving_rsrq: float) -> None:
+        """Mark the next tick a proven no-op (see :meth:`quiet_tick`).
 
-        The fleet's batched event pass calls this instead of
-        :meth:`tick` when it has already established every fact the
-        full path would discover: the device is connected with a
-        monitor armed, no handover is pending, the serving cell was
-        measured this round, no armed event's entry condition holds
-        anywhere, every event's TTT/report state is empty, and no
-        periodic report is due.  Under those facts
+        :func:`~repro.ue.reporting.step_events_batch` calls this when the
+        device is connected with a monitor armed, no handover is
+        pending, the serving cell was measured this round with the given
+        filtered metrics, and the monitor is
+        :meth:`~repro.ue.reporting.EventMonitor.quiet`.
+        """
+        self._quiet = (serving_rsrp, serving_rsrq)
+
+    def quiet_tick(self, now_ms: int, serving_rsrp: float, serving_rsrq: float) -> None:
+        """Bookkeeping of a tick marked quiet by :meth:`mark_quiet`.
+
+        Under the facts :meth:`mark_quiet` records,
         :meth:`_connected_step` changes nothing besides the round
-        counters and (possibly) the periodic PHY serving-measurement
-        emission — so only those happen here, bit-identically.  The
-        caller passes the serving cell's filtered metrics exactly when
-        the PHY emission is due (it checks the cadence itself); no
-        measurement round is materialized, so ``last_measurements`` is
-        not updated on quiet ticks.
+        counters and a due PHY serving-measurement emission, so only
+        those happen here, bit-identically.  No measurement round is
+        materialized, so ``last_measurements`` is not updated.
         """
         meas = self.meas
         meas.intra_freq_rounds += 1
         meas.non_intra_freq_rounds += 1
-        if serving_rsrp is not None:
-            self._last_phy_meas_ms = now_ms
-            cell = self.serving
-            self._notify(
-                now_ms,
-                PhyServingMeas(
-                    carrier=cell.carrier,
-                    gci=cell.cell_id.gci,
-                    channel=cell.channel,
-                    rat=cell.rat.value,
-                    rsrp_dbm=serving_rsrp,
-                    rsrq_db=serving_rsrq,
-                    sinr_db=0.0,
-                    rrc_connected=self.state is RrcState.CONNECTED,
-                ),
-                "down",
-            )
+        self._emit_phy_meas(now_ms, self.serving, serving_rsrp, serving_rsrq, splice=True)
 
     # -- connected mode -----------------------------------------------------
 
@@ -369,7 +371,7 @@ class UserEquipment:
             # re-establish on the strongest cell.
             self._radio_link_failure(now_ms, location)
             return
-        self._emit_phy_meas(now_ms, serving_meas)
+        self._emit_phy_meas(now_ms, serving, serving_meas.rsrp_dbm, serving_meas.rsrq_db)
         if self.monitor is None or self.pending_handover is not None:
             return
         if isinstance(measured, MeasurementRound):
@@ -465,7 +467,7 @@ class UserEquipment:
             measure_non_intra=measure_non_intra,
         )
         serving_meas = measured[serving.cell_id]
-        self._emit_phy_meas(now_ms, serving_meas)
+        self._emit_phy_meas(now_ms, serving, serving_meas.rsrp_dbm, serving_meas.rsrq_db)
         neighbors = [m for cid, m in measured.items() if cid != serving.cell_id]
         if higher_priority_round:
             ranked = [
@@ -510,7 +512,7 @@ class UserEquipment:
             # Lost the serving cell (or its broadcast): full reselection.
             self.initial_camp(location, now_ms)
             return None
-        self._emit_phy_meas(now_ms, serving_meas)
+        self._emit_phy_meas(now_ms, serving, serving_meas.rsrp_dbm, serving_meas.rsrq_db)
         neighbors = [m for cid, m in measured.items() if cid != serving.cell_id]
         decision = self.legacy_reselection.step(
             now_ms, serving_meas, self.serving_legacy_config, neighbors

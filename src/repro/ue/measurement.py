@@ -237,10 +237,11 @@ class MeasurementEngine:
         #: sampling) shares a single vectorized RSRP computation.
         self._snap_key: tuple | None = None
         self._snap: RadioSnapshot | None = None
-        #: A measurement round computed ahead of time by the fleet
-        #: simulator's batched pass; the next :meth:`step` consumes it
-        #: instead of recomputing (the batch already advanced this
-        #: engine's RNG and filter state identically).
+        #: A measurement round computed ahead of time by a batched pass
+        #: (:meth:`BatchMeasurementState.install_round`); the next
+        #: :meth:`step` consumes it instead of recomputing (the batch
+        #: already advanced this engine's RNG and filter state
+        #: identically).
         self._pending_round: MeasurementRound | None = None
         #: Count of measurement rounds performed, split by kind — the
         #: measurement-efficiency analysis (Fig. 11) consumes these.
@@ -297,6 +298,12 @@ class MeasurementEngine:
         self._snap_key, self._snap = key, snap
         return snap
 
+    def cached_snapshot(self, location, carrier: str) -> RadioSnapshot | None:
+        """The memoized snapshot if it was taken at (location, carrier), else None."""
+        if (location.x, location.y, carrier) == self._snap_key:
+            return self._snap
+        return None
+
     def adopt_snapshot(self, location, carrier: str, snap: RadioSnapshot) -> None:
         """Install a snapshot taken by a co-located UE into the memo.
 
@@ -331,7 +338,7 @@ class MeasurementEngine:
         """
         pending = self._pending_round
         if pending is not None:
-            # The fleet's batched pass already performed this exact round
+            # A batched pass already performed this exact round
             # (same snapshot, serving and gating) and committed the
             # filter state; consuming it only needs the bookkeeping.
             self._pending_round = None
@@ -466,10 +473,6 @@ class MeasurementEngine:
 
     # -- shared helpers ------------------------------------------------------
 
-    def serving_measurement(self, measured, serving: Cell) -> FilteredMeasurement:
-        """The serving cell's entry from a measurement round."""
-        return measured[serving.cell_id]
-
     @staticmethod
     def split_neighbors(
         measured, serving: Cell
@@ -558,7 +561,7 @@ class BatchMeasurementState:
         self._t4: np.ndarray | None = None
         #: Padded LTE rat-mask rows for the batched event pass (every
         #: batched lane serves LTE); refreshed with the raw rows.
-        self._rat_lte: np.ndarray | None = None
+        self.rat_lte: np.ndarray | None = None
         self._stds = np.zeros((n_rows, 1))
         self._stds_half = np.zeros((n_rows, 1))
         self._floors = np.zeros((n_rows, 1))
@@ -593,7 +596,7 @@ class BatchMeasurementState:
         self._t2 = np.empty((g, need_n))
         self._t3 = np.empty((g, need_n))
         self._t4 = np.empty((g, need_n))
-        self._rat_lte = np.zeros((g, need_n), dtype=bool)
+        self.rat_lte = np.zeros((g, need_n), dtype=bool)
         self._last_snap = [None] * g
         self._last_prepared = [None] * g
         self._last_n = [0] * g
@@ -628,8 +631,8 @@ class BatchMeasurementState:
         ``(filt_rsrp, filt_rsrq, eligible)`` matrices (the persistent
         in-place buffers, valid until the next call; rows not in
         ``rows`` hold garbage).  No :class:`MeasurementRound` objects
-        are created here — the caller materializes them only for lanes
-        that actually consume one.
+        are created here — :meth:`install_round` materializes them only
+        for lanes that actually consume one.
         """
         pad = self._BATCH_PAD
         need_n = max(len(snap.prepared.cells) for snap in snaps)
@@ -642,7 +645,7 @@ class BatchMeasurementState:
         last_view, last_has_view = self._last_view, self._last_has_view
         last_prepared = self._last_prepared
         serving_memo = self._serving_memo
-        rat_lte = self._rat_lte
+        rat_lte = self.rat_lte
         sv_dirty = self._sv_for_rows is None or rows != self._sv_for_rows
         for k, r in enumerate(rows):
             eng, snap = engines[k], snaps[k]
@@ -754,3 +757,30 @@ class BatchMeasurementState:
             self._sv_for_rows = list(rows)
         has[self._sv_rows, self._sv_cols] = True
         return prev_rsrp, prev_rsrq, has
+
+    def serving_columns(self, rows: list[int]) -> list[int | None]:
+        """Each row's serving-cell column at the last :meth:`step` (None: inaudible)."""
+        memo = self._serving_memo
+        return [memo[r][2] for r in rows]
+
+    def install_round(
+        self,
+        row: int,
+        eng: MeasurementEngine,
+        neighbor_masks: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Make row ``row`` of the last :meth:`step` ``eng``'s pending round.
+
+        ``neighbor_masks``, full-width (intra-RAT, inter-RAT) candidate
+        rows, become the round's cached
+        :meth:`MeasurementRound.neighbor_masks` for the serving cell.
+        """
+        prepared = eng._aligned
+        n = len(prepared.cells)
+        round_ = MeasurementRound(
+            prepared, self._prev_rsrp[row, :n], self._prev_rsrq[row, :n], self._has[row, :n]
+        )
+        if neighbor_masks is not None:
+            intra, inter = neighbor_masks
+            round_._masks[self._serving_memo[row][0].cell_id] = (intra[:n], inter[:n])
+        eng._pending_round = round_

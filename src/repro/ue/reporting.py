@@ -25,7 +25,11 @@ from repro.config.events import (
     evaluate_leave,
 )
 from repro.config.lte import MeasurementConfig
-from repro.ue.measurement import FilteredMeasurement, MeasurementRound
+from repro.ue.measurement import (
+    BatchMeasurementState,
+    FilteredMeasurement,
+    MeasurementRound,
+)
 
 
 @dataclass(frozen=True)
@@ -66,17 +70,24 @@ class EventMonitor:
 
     def __init__(self, meas_config: MeasurementConfig):
         self.meas_config = meas_config
-        self._states = [_EventState(config=e) for e in meas_config.events]
+        events = meas_config.events
+        self._states = [_EventState(config=e) for e in events]
         self._last_periodic_ms: int | None = None
-        #: Entry masks precomputed by the fleet simulator's batched event
-        #: pass, aligned with ``_states`` (None per slot = condition holds
-        #: nowhere).  Consumed (and cleared) by the next
-        #: :meth:`step_round` call instead of recomputing per monitor.
+        #: Entry masks precomputed by :func:`step_events_batch`, aligned
+        #: with ``_states`` (None per slot = condition holds nowhere).
+        #: Consumed (and cleared) by the next :meth:`step_round` call
+        #: instead of recomputing per monitor.
         self._injected_entries: list | None = None
-        #: Lazily filled by the fleet simulator: (signature, parameter
-        #: matrix, s_measure, periodic) of ``meas_config``, so the batched
-        #: event pass groups lanes without re-deriving it every tick.
-        self._batch_info: tuple | None = None
+        #: The armed ``(event, metric)`` pairs: :func:`step_events_batch`
+        #: evaluates monitors with equal signatures in one matrix pass.
+        self.signature = tuple((c.event, c.metric) for c in events)
+        #: One ``[hysteresis, threshold1, threshold2, offset]`` row per
+        #: armed event (absent thresholds as NaN; their events never
+        #: read them), stacked into per-member columns by the batch.
+        self.entry_params = np.array(
+            [(c.hysteresis, c.threshold1, c.threshold2, c.offset) for c in events],
+            dtype=np.float64,
+        ).reshape(len(events), 4)
 
     @property
     def armed_events(self) -> list[EventType]:
@@ -93,6 +104,25 @@ class EventMonitor:
         below s-Measure.  The permissive -44 value disables the gate.
         """
         return serving.rsrp_dbm <= self.meas_config.s_measure
+
+    def quiet(self, now_ms: int, gate_open: bool, entry_holds: bool) -> bool:
+        """Whether :meth:`step_round` would change nothing this round.
+
+        True when no armed event's entry condition holds, no event has
+        TTT or report state, and no periodic report is due (periodic
+        reports need the s-Measure gate open).
+        """
+        if entry_holds:
+            return False
+        for state in self._states:
+            if state.entry_since or state.reported:
+                return False
+        periodic = self.meas_config.periodic
+        if periodic is not None and gate_open:
+            last = self._last_periodic_ms
+            if last is None or now_ms - last >= periodic.report_interval_ms:
+                return False
+        return True
 
     def step(
         self,
@@ -236,15 +266,23 @@ class EventMonitor:
                 # One masked array pass over the whole prepared cell
                 # list; only positions where the entry condition holds
                 # (on a steady drive: almost none) cost Python work.
-                # When the fleet's batched pass already computed this
-                # event's entry row (bit-identical: same ufuncs broadcast
+                # When the batched pass already computed this event's
+                # entry row (bit-identical: the same entry_mask broadcast
                 # over the UE axis), consume it instead; a None slot
                 # means the condition holds nowhere this round.
                 values = round_.metric_values(config.metric)
                 if injected is not None:
                     entry = injected[state_i]
                 else:
-                    entry = entry_mask(config, serving_value, values) & cand
+                    entry = entry_mask(
+                        config.event,
+                        serving_value,
+                        values,
+                        config.hysteresis,
+                        config.threshold1,
+                        config.threshold2,
+                        config.offset,
+                    ) & cand
                 for i in () if entry is None else np.flatnonzero(entry):
                     key = cell_ids[i]
                     if key in state.reported:
@@ -324,3 +362,93 @@ class EventMonitor:
                     )
                 )
         return reports
+
+
+def step_events_batch(
+    now_ms: int,
+    ues: list,
+    rows: list[int],
+    state: BatchMeasurementState,
+    filt_rsrp: np.ndarray,
+    filt_rsrq: np.ndarray,
+    eligible: np.ndarray,
+) -> None:
+    """The event step of many connected UEs' next ticks, as matrix passes.
+
+    ``state`` has just stepped UE ``k``'s round in row ``rows[k]``
+    (``filt_rsrp``, ``filt_rsrq`` and ``eligible`` are its output).  A
+    UE whose monitor is :meth:`EventMonitor.quiet` is marked quiet
+    (:meth:`~repro.ue.device.UserEquipment.mark_quiet`); every other
+    UE's engine gets its round installed, with the neighbor masks and
+    entry rows :meth:`EventMonitor.step_round` would compute.
+
+    Monitors are grouped by :attr:`EventMonitor.signature`, not by
+    neighborhood: parked UEs scatter over dozens of prepared lists,
+    while a carrier arms only a handful of signatures.  Per-config
+    parameters become per-member columns of :func:`entry_mask`, so each
+    UE's rows and verdict are bit-identical to its own step's.
+    """
+    serving_cols = state.serving_columns(rows)
+    groups: dict[tuple, list[tuple]] = {}
+    for k, ue in enumerate(ues):
+        monitor = ue.monitor
+        col = serving_cols[k]
+        if monitor is None or ue.pending_handover is not None or col is None:
+            # Nothing to batch (no events armed, or a handover pending),
+            # or the serving cell is inaudible and the UE's own step
+            # handles the radio link failure.
+            state.install_round(rows[k], ue.meas)
+        else:
+            groups.setdefault(monitor.signature, []).append((k, col, monitor))
+    rat_lte = state.rat_lte
+    for signature, members in groups.items():
+        m = len(members)
+        mrows = np.fromiter((rows[t[0]] for t in members), dtype=np.intp, count=m)
+        scols = np.fromiter((t[1] for t in members), dtype=np.intp, count=m)
+        params = np.stack([t[2].entry_params for t in members])  # (m, events, 4)
+        gates = np.fromiter(
+            (t[2].meas_config.s_measure for t in members), dtype=np.float64, count=m
+        )
+        serving = {"rsrp": filt_rsrp[mrows, scols], "rsrq": filt_rsrq[mrows, scols]}
+        # The s-Measure gate, one comparison for the whole group
+        # (exactly the per-monitor check).
+        gate_open = serving["rsrp"] <= gates
+        # Neighbor candidates: eligibility minus the serving column,
+        # zeroed wholesale for gate-closed members (step_round hands
+        # them no candidates, so their neighbor events never fire).
+        base = eligible[mrows]  # fancy indexing copies
+        base[np.arange(m), scols] = False
+        base &= gate_open[:, None]
+        ratm = rat_lte[mrows]
+        intra = base & ratm
+        inter = base & ~ratm
+        values = {"rsrp": filt_rsrp[mrows], "rsrq": filt_rsrq[mrows]}
+        #: Per member: does ANY armed event's entry condition hold?
+        any_entry = np.zeros(m, dtype=bool)
+        entries: list = [None] * len(signature)
+        for e_i, (event, metric) in enumerate(signature):
+            hys, th1, th2, offset = (params[:, e_i, j, None] for j in range(4))
+            entry = entry_mask(
+                event, serving[metric][:, None], values[metric], hys, th1, th2, offset
+            )
+            if event.needs_neighbor:
+                entry &= inter if event.is_inter_rat else intra
+                hot = entry.any(axis=1)
+                if hot.any():
+                    any_entry |= hot
+                    entries[e_i] = (entry, hot)
+            else:
+                any_entry |= entry[:, 0]
+        opens, entered = gate_open.tolist(), any_entry.tolist()
+        rsrp, rsrq = serving["rsrp"].tolist(), serving["rsrq"].tolist()
+        for o_i, (k, _, monitor) in enumerate(members):
+            ue = ues[k]
+            if monitor.quiet(now_ms, opens[o_i], entered[o_i]):
+                ue.mark_quiet(rsrp[o_i], rsrq[o_i])
+            elif opens[o_i]:
+                state.install_round(rows[k], ue.meas, (intra[o_i], inter[o_i]))
+                monitor._injected_entries = [
+                    e[0][o_i] if e is not None and e[1][o_i] else None for e in entries
+                ]
+            else:
+                state.install_round(rows[k], ue.meas)

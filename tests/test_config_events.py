@@ -1,11 +1,14 @@
 """Tests for reporting-event semantics (TS 36.331 5.5.4 / paper Eq. 2)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.config.events import (
     EventConfig,
     EventType,
     PeriodicConfig,
+    entry_mask,
     evaluate_entry,
     evaluate_leave,
 )
@@ -161,3 +164,83 @@ def test_parameter_samples_names_resolve():
         for name, value in config.parameter_samples():
             spec = spec_by_name(RAT.LTE, name)
             assert spec.domain.contains(value), (name, value)
+
+
+# -- entry_mask: the one vectorized entry condition -------------------------
+
+_NEIGHBOR_EVENTS = [
+    EventType.A3, EventType.A4, EventType.A5, EventType.A6, EventType.B1, EventType.B2,
+]
+_level = st.floats(min_value=-150.0, max_value=0.0) | st.sampled_from([0.0, -0.0])
+_hysteresis = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 10.0)
+_offset = st.sampled_from([0.0, -0.0, -2.0, 3.0]) | st.floats(-15.0, 15.0)
+
+
+@st.composite
+def _event_config(draw, event):
+    return EventConfig(
+        event=event,
+        threshold1=draw(_level),
+        threshold2=draw(_level),
+        offset=draw(_offset),
+        hysteresis=draw(_hysteresis),
+    )
+
+
+def _columns(configs, attr):
+    return np.array([[getattr(c, attr)] for c in configs], dtype=np.float64)
+
+
+@seed(36331)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), event=st.sampled_from(_NEIGHBOR_EVENTS))
+def test_entry_mask_matches_evaluate_entry(data, event):
+    """Scalar parameters (one UE) and per-member columns (a batch) agree
+    with the scalar evaluator element by element, at the threshold
+    +- hysteresis edges and at -0.0 included."""
+    m = data.draw(st.integers(1, 4), label="members")
+    n = data.draw(st.integers(0, 5), label="cells")
+    configs = [data.draw(_event_config(event), label="config") for _ in range(m)]
+    serving = np.empty(m)
+    neighbors = np.empty((m, n))
+    for g, c in enumerate(configs):
+        h = c.hysteresis
+        serving[g] = data.draw(
+            st.sampled_from([c.threshold1 - h, c.threshold1 + h, -0.0]) | _level
+        )
+        edges = [c.threshold1 + h, c.threshold2 + h, serving[g] + c.offset + h, -0.0]
+        for j in range(n):
+            neighbors[g, j] = data.draw(st.sampled_from(edges) | _level)
+    expected = [
+        [evaluate_entry(c, float(serving[g]), float(v)) for v in neighbors[g]]
+        for g, c in enumerate(configs)
+    ]
+    for g, c in enumerate(configs):
+        row = entry_mask(
+            event, float(serving[g]), neighbors[g],
+            c.hysteresis, c.threshold1, c.threshold2, c.offset,
+        )
+        assert row.tolist() == expected[g]
+    batch = entry_mask(
+        event,
+        serving[:, None],
+        neighbors,
+        _columns(configs, "hysteresis"),
+        _columns(configs, "threshold1"),
+        _columns(configs, "threshold2"),
+        _columns(configs, "offset"),
+    )
+    assert batch.shape == (m, n)
+    assert batch.tolist() == expected
+
+
+@pytest.mark.parametrize("event", [EventType.A1, EventType.A2])
+def test_entry_mask_serving_only_events(event):
+    servings = np.array([-101.0, -100.0, -99.0, -0.0])
+    config = EventConfig(event=event, threshold1=-100.0, hysteresis=1.0)
+    expected = [evaluate_entry(config, float(s), None) for s in servings]
+    scalar = [bool(entry_mask(event, float(s), None, 1.0, -100.0)) for s in servings]
+    columns = entry_mask(event, servings[:, None], None, np.full((4, 1), 1.0), -100.0)
+    assert scalar == expected
+    assert columns[:, 0].tolist() == expected
+

@@ -11,6 +11,7 @@ from repro.pipeline import (
     SerialBackend,
     WorkUnit,
     clear_process_cache,
+    default_workers,
     process_cached,
     resolve_backend,
 )
@@ -104,6 +105,20 @@ def test_resolve_backend():
     # Both backend classes satisfy the protocol.
     assert isinstance(SerialBackend(), ExecutionBackend)
     assert isinstance(pool, ExecutionBackend)
+
+
+def test_default_workers_reads_env(monkeypatch):
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    assert default_workers() == 1
+    monkeypatch.setenv("REPRO_WORKERS", "3")
+    assert default_workers() == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5", ""])
+def test_default_workers_rejects_bad_env(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_WORKERS", raw)
+    with pytest.raises(ValueError, match=f"REPRO_WORKERS.*{raw!r}"):
+        default_workers()
 
 
 def test_process_cached_builds_once():

@@ -28,9 +28,12 @@ from repro.simulate.fleet import (
     trajectory_for,
     ue_specs,
 )
-from repro.simulate.runner import DriveSimulator
+from repro.rrc.diag import DiagReader
+from repro.rrc.messages import PhyServingMeas
+from repro.simulate import fleet as fleet_module
+from repro.simulate.runner import DriveLane, DriveSimulator
 from repro.simulate.scenarios import ScenarioSpec
-from repro.ue.device import HandoffEvent
+from repro.ue.device import HandoffEvent, UserEquipment
 from repro.ue.measurement import MeasurementEngine
 
 #: Small-world spec matching the session ``scenario`` fixture; the
@@ -136,6 +139,52 @@ def test_scalar_oracle_matches_batched(fleet_results, monkeypatch):
         assert vec.handoffs == ref.handoffs
         assert vec.diag_sha256 == ref.diag_sha256
         assert vec.ping_rtts_ms == ref.ping_rtts_ms
+
+
+def test_second_listener_hears_quiet_ticks(fleet_results, monkeypatch):
+    """A quiet tick notifies every listener once the diag writer has company.
+
+    With a second listener the UE cannot splice the PHY record into the
+    writer's buffer; it builds the message and notifies everyone, and
+    the writer's bytes stay exactly those of the spliced run.
+    """
+    options, baseline = fleet_results
+    heard: list[list] = []
+    lane_of: dict[int, int] = {}
+    quiet_ticks: set[tuple[int, int]] = set()
+
+    class ListenedLane(DriveLane):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            log: list = []
+            heard.append(log)
+            lane_of[id(self.ue)] = len(heard) - 1
+            self.ue.add_listener(lambda t, message, direction: log.append((t, message)))
+
+    quiet_tick = UserEquipment.quiet_tick
+
+    def recording_quiet_tick(ue, now_ms, *args):
+        quiet_ticks.add((lane_of[id(ue)], now_ms))
+        return quiet_tick(ue, now_ms, *args)
+
+    monkeypatch.setattr(fleet_module, "DriveLane", ListenedLane)
+    monkeypatch.setattr(UserEquipment, "quiet_tick", recording_quiet_tick)
+    results = FleetSimulator(options.scenario.build(), options).simulate()
+    assert quiet_ticks
+    quiet_phy = 0
+    for k, (ue, solo) in enumerate(zip(results, baseline)):
+        assert ue.diag_log == solo.diag_log
+        logged = [(r.timestamp_ms, r.message) for r in DiagReader(ue.diag_log)]
+        # The listener heard every message the writer logged, in order
+        # (the initial camp's SIBs predate its registration).
+        assert logged[len(logged) - len(heard[k]):] == heard[k]
+        quiet_phy += sum(
+            isinstance(message, PhyServingMeas) and (k, t) in quiet_ticks
+            for t, message in heard[k]
+        )
+    assert quiet_phy > 0
 
 
 def test_worker_count_does_not_change_output():
