@@ -2,21 +2,20 @@
 
 ``RadioEnvironment`` is what a simulated device "sees": given a location
 and a carrier subscription, it answers which cells are audible, how
-strong each is, and which co-channel cells interfere.  A uniform-grid
-spatial index keeps neighbor queries fast enough for the long drive
-simulations behind datasets D1/D2.
+strong each is, and which co-channel cells interfere.  A spatial index
+of per-carrier coordinate arrays keeps neighbor queries fast enough for
+the long drive simulations behind datasets D1/D2.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
+
+import numpy as np
 
 from repro.cellnet.cell import Cell, CellId, CellRegistry
 from repro.cellnet.deployment import DeploymentPlan
 from repro.cellnet.geo import Point
-import numpy as np
-
 from repro.cellnet.radio import (
     Measurement,
     PreparedCells,
@@ -28,28 +27,50 @@ from repro.cellnet.rat import RAT
 
 
 class _SpatialIndex:
-    """Uniform-grid bucket index over cell locations."""
+    """Cell-location index: coordinate arrays in cell-id order.
 
-    def __init__(self, cells: list[Cell], cell_size_m: float = 2000.0):
-        self._size = cell_size_m
-        self._buckets: dict[tuple[int, int], list[Cell]] = {}
-        for cell in cells:
-            self._buckets.setdefault(self._key(cell.location), []).append(cell)
+    All cells, and each carrier's cells, are kept sorted by cell id with
+    their coordinates as arrays, so a query is one vectorized distance
+    pass and its result needs no sort.  Squared distances decide every
+    cell clearly inside or outside the radius; the few within a narrow
+    relative band of it are re-checked with :meth:`Point.distance_to`,
+    so membership is exactly the scalar rule
+    ``cell.location.distance_to(location) <= radius_m``.
+    """
 
-    def _key(self, p: Point) -> tuple[int, int]:
-        return (math.floor(p.x / self._size), math.floor(p.y / self._size))
+    #: Relative half-width of the re-checked band around the radius:
+    #: far wider than the rounding of a squared distance (a few ulps).
+    _BAND = 1e-9
 
-    def near(self, location: Point, radius_m: float) -> list[Cell]:
-        """All indexed cells within ``radius_m`` of ``location``."""
-        kx, ky = self._key(location)
-        span = math.ceil(radius_m / self._size)
-        found: list[Cell] = []
-        for bx in range(kx - span, kx + span + 1):
-            for by in range(ky - span, ky + span + 1):
-                for cell in self._buckets.get((bx, by), ()):
-                    if cell.location.distance_to(location) <= radius_m:
-                        found.append(cell)
-        return found
+    def __init__(self, cells: list[Cell]):
+        ordered = sorted(cells, key=lambda c: c.cell_id)
+        self._all = self._arrays(ordered)
+        by_carrier: dict[str, list[Cell]] = {}
+        for cell in ordered:
+            by_carrier.setdefault(cell.carrier, []).append(cell)
+        self._by_carrier = {carrier: self._arrays(group) for carrier, group in by_carrier.items()}
+
+    @staticmethod
+    def _arrays(cells: list[Cell]) -> tuple[list[Cell], np.ndarray, np.ndarray]:
+        xs = np.array([c.location.x for c in cells], dtype=np.float64)
+        ys = np.array([c.location.y for c in cells], dtype=np.float64)
+        return cells, xs, ys
+
+    def near(self, location: Point, radius_m: float, carrier: str | None = None) -> list[Cell]:
+        """Indexed cells (of ``carrier``, if given) within ``radius_m``, in cell-id order."""
+        group = self._all if carrier is None else self._by_carrier.get(carrier)
+        if group is None:
+            return []
+        cells, xs, ys = group
+        dx = xs - location.x
+        dy = ys - location.y
+        d2 = dx * dx + dy * dy
+        inner = (radius_m * (1.0 - self._BAND)) ** 2
+        outer = (radius_m * (1.0 + self._BAND)) ** 2
+        keep = d2 < inner
+        for i in np.flatnonzero((d2 >= inner) & (d2 <= outer)).tolist():
+            keep[i] = cells[i].location.distance_to(location) <= radius_m
+        return [cells[i] for i in np.flatnonzero(keep).tolist()]
 
 
 class RadioEnvironment:
@@ -102,12 +123,10 @@ class RadioEnvironment:
         Results are sorted by (carrier, gci) for determinism.
         """
         radius = radius_m if radius_m is not None else self.audible_radius_m
-        cells = self._index.near(location, radius)
-        if carrier is not None:
-            cells = [c for c in cells if c.carrier == carrier]
+        cells = self._index.near(location, radius, carrier)
         if rat is not None:
             cells = [c for c in cells if c.rat is rat]
-        return sorted(cells, key=lambda c: c.cell_id)
+        return cells
 
     def co_channel_interferers(self, cell: Cell, location: Point) -> list[Cell]:
         """Other same-channel cells audible at ``location``.
@@ -116,15 +135,13 @@ class RadioEnvironment:
         the audible radius) rather than scanning the deployment's full
         per-(RAT, channel) cell list; sorted by cell id for determinism.
         """
-        interferers = [
+        return [
             c
             for c in self._index.near(location, self.audible_radius_m)
             if c.rat is cell.rat
             and c.channel == cell.channel
             and c.cell_id != cell.cell_id
         ]
-        interferers.sort(key=lambda c: c.cell_id)
-        return interferers
 
     def measure(self, cell: Cell, location: Point) -> Measurement:
         """Measure one cell at a location, with co-channel interference."""
@@ -185,17 +202,28 @@ class RadioEnvironment:
         anywhere inside the grid square.
         """
         key = (round(location.x / 200.0), round(location.y / 200.0), carrier, radius_m)
+        return self._prepared(key, location, 1)
+
+    def _prepared(self, key: tuple, location: Point, uses: int) -> PreparedCells:
+        """The LRU entry of grid ``key``, counted as ``uses`` lookups in a row.
+
+        A miss prepares the neighborhood around ``location`` (a point of
+        the key's grid square) and counts the other ``uses - 1`` lookups
+        as hits, exactly as that many :meth:`prepared_for` calls would.
+        """
         cache = self._snapshot_cache
         prepared = cache.get(key)
         if prepared is None:
             self.snapshot_cache_misses += 1
+            self.snapshot_cache_hits += uses - 1
+            carrier, radius_m = key[2], key[3]
             cells = self.cells_near(location, carrier=carrier, radius_m=radius_m + 200.0)
             prepared = self.radio.prepare(cells)
             while len(cache) >= self.snapshot_cache_size:
                 cache.popitem(last=False)
             cache[key] = prepared
         else:
-            self.snapshot_cache_hits += 1
+            self.snapshot_cache_hits += uses
             cache.move_to_end(key)
         return prepared
 
@@ -204,24 +232,39 @@ class RadioEnvironment:
     ) -> list[RadioSnapshot]:
         """Snapshots of many (location, carrier) spots, batched physics.
 
-        Spots sharing a prepared neighborhood run the RSRP chain as one
-        broadcast pass (:meth:`RadioModel.rsrp_prepared_batch`), and
-        their RSRQ/SINR arrays are primed in one more
+        The spots' 200 m grid keys are computed at once and each
+        distinct key is looked up once; hits, misses and the LRU order
+        end up exactly as one :meth:`prepared_for` call per spot leaves
+        them.  Spots sharing a prepared neighborhood run the RSRP chain
+        as one broadcast pass (:meth:`RadioModel.rsrp_prepared_batch`),
+        and their RSRQ/SINR arrays are primed in one more
         (:func:`compute_metrics_batch`), so no consumer pays the lazy
         per-snapshot computation.  A lone spot keeps the single-location
         chain and lazy RSRQ/SINR.  Entry ``j`` is bit-identical to
         ``snapshot(spots[j][0], spots[j][1])``.
         """
-        groups: dict[int, tuple[PreparedCells, list[int]]] = {}
-        for j, (location, carrier) in enumerate(spots):
-            prepared = self.prepared_for(location, carrier, radius_m)
-            entry = groups.get(id(prepared))
-            if entry is None:
-                groups[id(prepared)] = (prepared, [j])
-            else:
-                entry[1].append(j)
-        out: list[RadioSnapshot | None] = [None] * len(spots)
-        for prepared, idxs in groups.values():
+        count = len(spots)
+        xs = np.fromiter((spot[0].x for spot in spots), float, count=count)
+        ys = np.fromiter((spot[0].y for spot in spots), float, count=count)
+        # rint rounds half to even, as round() does, on the same quotient.
+        kxs = np.rint(xs / 200.0).astype(np.int64).tolist()
+        kys = np.rint(ys / 200.0).astype(np.int64).tolist()
+        groups: dict[tuple, list[int]] = {}
+        for j, (kx, ky, spot) in enumerate(zip(kxs, kys, spots)):
+            groups.setdefault((kx, ky, spot[1], radius_m), []).append(j)
+        if len(groups) >= self.snapshot_cache_size:
+            # A chunk this wide could evict its own keys mid-chunk.
+            return [self.snapshot(location, carrier, radius_m) for location, carrier in spots]
+        resolved = [
+            (self._prepared(key, spots[idxs[0]][0], len(idxs)), idxs)
+            for key, idxs in groups.items()
+        ]
+        if len(groups) > 1:
+            # Per-spot lookups leave the keys in last-use order.
+            for key in sorted(groups, key=lambda k: groups[k][-1]):
+                self._snapshot_cache.move_to_end(key)
+        out: list[RadioSnapshot | None] = [None] * count
+        for prepared, idxs in resolved:
             if len(idxs) == 1 or not prepared.cells:
                 # Lone spots keep the scratch-buffered single-location
                 # chain (the broadcast pass only pays off shared).
@@ -229,10 +272,7 @@ class RadioEnvironment:
                     rsrp = self.radio.rsrp_prepared(prepared, spots[j][0])
                     out[j] = RadioSnapshot(self.radio, prepared, rsrp, spots[j][0])
                 continue
-            count = len(idxs)
-            xs = np.fromiter((spots[j][0].x for j in idxs), float, count=count)
-            ys = np.fromiter((spots[j][0].y for j in idxs), float, count=count)
-            rsrp = self.radio.rsrp_prepared_batch(prepared, xs, ys)
+            rsrp = self.radio.rsrp_prepared_batch(prepared, xs[idxs], ys[idxs])
             rsrq, sinr, power_mw, own_totals = compute_metrics_batch(prepared, rsrp)
             for k, j in enumerate(idxs):
                 out[j] = RadioSnapshot(

@@ -317,16 +317,20 @@ def parameter_count(rat: RAT) -> int:
     return len(REGISTRY[rat])
 
 
+#: Per-RAT name -> spec maps behind :func:`spec_by_name`.
+_BY_NAME = {rat: {s.name: s for s in specs} for rat, specs in REGISTRY.items()}
+
+
 def spec_by_name(rat: RAT, name: str) -> ParameterSpec:
     """Resolve a parameter name within one RAT's registry.
 
     Raises:
         KeyError: If the name is not in the registry.
     """
-    for spec in REGISTRY[rat]:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"unknown {rat.value} parameter {name!r}")
+    spec = _BY_NAME[rat].get(name)
+    if spec is None:
+        raise KeyError(f"unknown {rat.value} parameter {name!r}")
+    return spec
 
 
 def idle_state_parameters(rat: RAT) -> tuple[ParameterSpec, ...]:

@@ -16,34 +16,32 @@ so the fleet front-loads the per-tick hot path in batches:
   neighborhoods come from the environment's prepared-cell LRU, whose
   capacity is grown to the fleet's working set
   (:meth:`~repro.cellnet.world.RadioEnvironment.reserve_snapshot_capacity`).
-* **Batched measurement rounds** — the L3 filter state of every
-  batched UE, whatever neighborhood it lives in, is promoted to
+* **Batched measurement rounds** — the L3 filter state and noise tap of
+  every batched UE, whatever neighborhood it lives in, live in
   persistent (UE x cell) matrices updated in place each tick
   (:class:`~repro.ue.measurement.BatchMeasurementState`); rounds are
   materialized only for lanes whose tick consumes one.
-* **Batched event evaluation** —
+* **One quiet-verdict pass** —
   :func:`~repro.ue.reporting.step_events_batch` evaluates every armed
-  entry condition as one masked (UE x cell) pass per event signature;
-  UEs whose tick it proves a no-op take
-  :meth:`~repro.ue.device.UserEquipment.quiet_tick`, skipping the
-  per-lane event machinery entirely.
-
-The fleet decides nothing from another module's state: it only calls
-the public interfaces of the UE, its measurement engine and the radio
-environment, so every tick decision has one owner in :mod:`repro.ue`
-or :mod:`repro.cellnet`.
+  entry condition of every batched UE in a fixed number of masked
+  (UE x cell) passes; UEs it proves idle this tick take
+  :meth:`~repro.ue.device.UserEquipment.quiet_tick`, the rest run their
+  own event step.
 * **Sharding** — fleets split into :class:`FleetShardUnit` work units
   over the :mod:`repro.pipeline` backends; per-UE seeds come from
   ``numpy.random.SeedSequence.spawn``, so every UE's result is
   bit-identical regardless of fleet size, shard boundaries or worker
   count.
 
-Batching never changes a single bit of any UE's outputs: every batched
-operation is the elementwise twin of the scalar/vectorized per-UE path
-(same ufuncs, same order, same RNG streams), and parity tests assert
-UE *k* of a fleet equals a solo :class:`DriveSimulator` run bit for
-bit.  Any lane in an unusual state (idle, scalar oracle, a handover
-due this tick) simply takes its own full tick.
+The fleet decides nothing from another module's state: it only calls
+the public interfaces of the UE, its measurement engine and the radio
+environment, so every tick decision has one owner in :mod:`repro.ue`
+or :mod:`repro.cellnet`.  Batching never changes a single bit of any
+UE's outputs: every batched operation is the elementwise twin of the
+per-UE path (same ufuncs, same order, same RNG streams), and parity
+tests assert UE *k* of a fleet equals a solo :class:`DriveSimulator`
+run bit for bit.  Any lane in an unusual state (idle, scalar oracle, a
+handover due this tick) simply takes its own full tick.
 """
 
 from __future__ import annotations
@@ -554,7 +552,18 @@ class FleetSimulator:
                     lane.batched = False
                     batch_state.detach(ue.meas)
             if batch:
-                self._batch_step(now_ms, batch, batch_state)
+                # Matrices are indexed by each lane's persistent row; the
+                # spots pass (or, for parked lanes, the initial camp)
+                # left this tick's snapshot in every engine's memo.
+                ues = [lane.ue for lane in batch]
+                rows = [lane.row for lane in batch]
+                matrices = batch_state.step(
+                    rows,
+                    [ue.meas for ue in ues],
+                    [ue.meas.snapshot(lane.location, lane.carrier) for ue, lane in zip(ues, batch)],
+                    [ue.serving for ue in ues],
+                )
+                step_events_batch(now_ms, ues, rows, batch_state, *matrices)
             # Per-lane tick: consumes the batch's round or quiet verdict;
             # lanes outside the batch take their full tick.
             for lane in active:
@@ -562,6 +571,11 @@ class FleetSimulator:
             now_ms += options.tick_ms
             tick_index += 1
             if any(now_ms > lane.trajectory.duration_ms for lane in active):
+                for lane in active:
+                    if lane.batched and now_ms > lane.trajectory.duration_ms:
+                        # A finished lane lets go of its row (and so of
+                        # the batch state, once the fleet compacts it).
+                        batch_state.detach(lane.ue.meas)
                 active = [
                     lane for lane in active if now_ms <= lane.trajectory.duration_ms
                 ]
@@ -619,20 +633,6 @@ class FleetSimulator:
         snaps = self.scenario.env.snapshot_batch(spots, radius_m=lane.ue.meas.radius_m)
         self._lookahead[key] = (now_ms, snaps)
         return snaps[0]
-
-    def _batch_step(
-        self, now_ms: int, group: list[DriveLane], state: BatchMeasurementState
-    ) -> None:
-        """Advance every batched UE of this tick in matrix form."""
-        ues = [lane.ue for lane in group]
-        # Matrices are indexed by each lane's persistent row, not its
-        # position in this tick's batch.
-        rows = [lane.row for lane in group]
-        # The spots pass (or, for parked lanes, the initial camp) left
-        # this tick's snapshot in every engine's memo.
-        snaps = [lane.ue.meas.snapshot(lane.location, lane.carrier) for lane in group]
-        matrices = state.step(rows, [ue.meas for ue in ues], snaps, [ue.serving for ue in ues])
-        step_events_batch(now_ms, ues, rows, state, *matrices)
 
 
 @dataclass(frozen=True)

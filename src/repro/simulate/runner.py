@@ -88,12 +88,12 @@ class DriveLane:
 
     The fleet front-loads work :meth:`step` would otherwise do itself,
     never different work, and only through the UE's own interfaces: it
-    installs snapshots into the UE's engine, and its batched event pass
-    (:func:`~repro.ue.reporting.step_events_batch`) leaves the UE either
-    a measurement round or a quiet verdict that its next
+    installs snapshots into the UE's engine, its batch matrices hold the
+    engine's filter state and noise tap while ``batched``, and its
+    quiet-verdict pass (:func:`~repro.ue.reporting.step_events_batch`)
+    leaves the UE a measurement round or a quiet verdict that its next
     :meth:`~repro.ue.device.UserEquipment.tick` consumes.  ``row`` and
-    ``batched`` are the fleet's batch-matrix bookkeeping; a solo drive
-    never sets them.
+    ``batched`` are the fleet's bookkeeping; a solo drive never sets them.
     """
 
     __slots__ = (

@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import attrgetter, is_not
 
 import numpy as np
 
@@ -250,6 +252,9 @@ class MeasurementEngine:
         #: Buffered standard-normal tap (see :meth:`_noise`).
         self._noise_buf: np.ndarray | None = None
         self._noise_pos = 0
+        #: ``(batch, row)`` while a :class:`BatchMeasurementState` holds
+        #: this tap's unread draws in one of its rows.
+        self._tap_lender: tuple | None = None
 
     def _noise(self, m: int) -> np.ndarray:
         """``m`` standard normals from this engine's stream, buffered.
@@ -262,7 +267,9 @@ class MeasurementEngine:
         the served sequence exactly the unbuffered one.  Both vectorized
         measurement paths (solo and the fleet matrix) draw through this
         tap, which is what keeps a fleet lane's stream aligned with the
-        same UE simulated solo.
+        same UE simulated solo.  While a batch row has borrowed the tap
+        (:attr:`_tap_lender`), only the batch draws from it; detaching
+        hands the unread draws back.
         """
         buf = self._noise_buf
         pos = self._noise_pos
@@ -498,6 +505,10 @@ class MeasurementEngine:
         return intra_rat, inter_rat
 
 
+#: Every rebuild of an engine's filter arrays replaces this one.
+_HAS_FILT = attrgetter("_has_filt")
+
+
 class BatchMeasurementState:
     """Persistent (UE x cell) matrices for a lockstep fleet shard.
 
@@ -506,117 +517,150 @@ class BatchMeasurementState:
     spans its own prepared cell list and is padded out to the widest
     one with :data:`_BATCH_PAD` (ineligible by construction).  For a
     fleet ticking the same UEs in lockstep most rows are unchanged tick
-    over tick (a parked UE's raw snapshot never changes, and its filter
-    state is exactly last tick's output), so the matrices live across
-    ticks, only rows that went stale are refreshed, and the
-    filter/eligibility matrices are updated **in place**:
+    over tick, so the matrices live across ticks and a step is a fixed
+    number of array operations.  Per-row Python runs only for rows
+    whose snapshot, engine arrays or serving cell changed, found by
+    identity comparisons over all rows at once:
 
     * Raw metric rows are rewritten only when a UE's snapshot object
       changed (movers every tick, parked UEs never).
     * The previous-state and output matrices are the *same buffers*:
       the IIR update writes back into them, so the row views installed
-      into each engine stay valid across ticks and need no per-tick
-      re-commit.  An engine whose arrays were rebuilt outside the batch
-      (handover reset, realignment, a detach by the fleet loop) fails
-      the identity check and gets its row refreshed from the engine,
+      into each engine stay valid across ticks.  An engine whose arrays
+      were rebuilt outside the batch (handover reset, realignment, a
+      detach by the fleet loop) gets its row refreshed from the engine,
       the single source of truth.
-    * Serving-cell eligibility is forced with one fancy-index write
-      from cached row/column arrays, rebuilt only when a serving cell,
-      a neighborhood, or the set of batched rows changes.
+    * Noise taps are row-resident: a row borrows its engine's tap
+      (:meth:`MeasurementEngine._noise`), so one gather per metric
+      serves every row's ``2n`` draws.  A row refills from its engine's
+      RNG only when its draws run out; on detach the unread remainder
+      goes back to the engine.  Nothing is skipped or reordered: the
+      engine's served sequence is the unbatched one.
+    * Serving-cell eligibility is forced with one fancy-index write,
+      rebuilt only when a serving cell, a neighborhood, or the set of
+      batched rows changes.
 
     Because the buffers mutate in place, anything derived from row
     views — :class:`MeasurementRound` objects included — is only valid
     until the next :meth:`step`; the fleet consumes every round within
-    its tick.  Callers whose engines hold batch row views MUST detach
-    an engine (copy its arrays) before stepping the batch without it,
-    or the full-matrix ufuncs would scribble over live engine state.
-
-    Values are bit-identical to per-engine :meth:`_step_vectorized`
-    rounds: every update is the same elementwise ufunc on the same
-    operand values, and each engine's RNG draws its own noise in its
-    own order (``standard_normal`` twice consumes the stream exactly as
-    one ``normal(0, 1, 2n)`` draw does).
+    its tick.  Callers MUST :meth:`detach` an engine before stepping the
+    batch without it, or the full-matrix ufuncs would scribble over
+    live engine state.  Values are bit-identical to per-engine
+    :meth:`_step_vectorized` rounds: every update is the same
+    elementwise ufunc on the same operand values.
     """
 
     #: Raw-metric value used to pad rows past a lane's own cell count:
     #: far below every detection floor, so padded positions are never
     #: eligible.
     _BATCH_PAD = -1.0e9
+    #: A row's noise tap holds this many draws plus one step's worth
+    #: (an engine hands over fewer than max(4096, 2n) unread draws).
+    _TAP_WIDTH = 4096
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
+        #: Width of the cell axis.  :meth:`_grow` (re)builds everything
+        #: sized by it: the raw, noise, prev/has (the in-place outputs)
+        #: and scratch matrices, the tap offsets, ``rat_lte`` (padded LTE
+        #: masks for the batched event pass) and the per-row memos.
         self.max_n = 0
-        # Persistent inputs; prev/has double as the in-place outputs.
-        self._raw_rsrp: np.ndarray | None = None
-        self._raw_rsrq: np.ndarray | None = None
-        self._prev_rsrp: np.ndarray | None = None
-        self._prev_rsrq: np.ndarray | None = None
-        self._has: np.ndarray | None = None
-        self._noise_rsrp: np.ndarray | None = None
-        self._noise_rsrq: np.ndarray | None = None
-        # Elementwise scratch (noisy metrics, IIR terms).
-        self._t1: np.ndarray | None = None
-        self._t2: np.ndarray | None = None
-        self._t3: np.ndarray | None = None
-        self._t4: np.ndarray | None = None
-        #: Padded LTE rat-mask rows for the batched event pass (every
-        #: batched lane serves LTE); refreshed with the raw rows.
         self.rat_lte: np.ndarray | None = None
-        self._stds = np.zeros((n_rows, 1))
-        self._stds_half = np.zeros((n_rows, 1))
-        self._floors = np.zeros((n_rows, 1))
-        self._alpha = np.zeros((n_rows, 1))
-        self._one_minus_alpha = np.zeros((n_rows, 1))
-        # Per-row validity bookkeeping (engine-array identity).
-        self._last_snap: list = [None] * n_rows
-        self._last_prepared: list = [None] * n_rows
-        self._last_n = [0] * n_rows
-        self._last_view: list = [None] * n_rows
-        self._last_has_view: list = [None] * n_rows
+        self._stds, self._stds_half, self._floors, self._alpha, self._one_minus_alpha = (
+            np.zeros((n_rows, 1)) for _ in range(5)
+        )
+        # Noise taps: row r's unread draws are _tap[r, pos:end]; a step
+        # reads cell j's pair at offsets j and n + j (0 past n cells)
+        # and advances pos by _advance (2n if batched, else 0).
+        self._tap = np.zeros((n_rows, 0))
+        self._tap_flat = self._tap.reshape(-1)
+        self._tap_base, self._tap_pos, self._tap_end, self._two_n, self._advance = (
+            np.zeros((n_rows, 1), dtype=np.intp) for _ in range(5)
+        )
+        self._base_pos = np.zeros((n_rows, 1), dtype=np.intp)
         #: (serving cell, prepared, serving index) memo per row.
         self._serving_memo: list = [None] * n_rows
-        #: Cached serving-eligibility write targets (see step()).
-        self._sv_rows: np.ndarray | None = None
-        self._sv_cols: np.ndarray | None = None
-        self._sv_for_rows: list | None = None
+        # The last step's rows and, per position, what it saw there.
+        self._rows: list | None = None
+        self._snaps, self._has_views, self._servings = [], [], []
+        self._advance_dirty = self._sv_dirty = True
+        self._sv_rows = self._sv_cols = None
+        self._sv_list: list = []
+        #: Member plan of :func:`~repro.ue.reporting.step_events_batch`,
+        #: kept beside the rows it indexes (that pass owns it).
+        self.event_plan = None
 
     def _grow(self, need_n: int) -> None:
         """(Re)allocate matrices for a larger cell axis; all rows stale."""
         self.max_n = need_n
-        g = self.n_rows
-        pad = self._BATCH_PAD
-        self._raw_rsrp = np.full((g, need_n), pad)
-        self._raw_rsrq = np.full((g, need_n), pad)
-        self._prev_rsrp = np.zeros((g, need_n))
-        self._prev_rsrq = np.zeros((g, need_n))
-        self._has = np.zeros((g, need_n), dtype=bool)
-        self._noise_rsrp = np.zeros((g, need_n))
-        self._noise_rsrq = np.zeros((g, need_n))
-        self._t1 = np.empty((g, need_n))
-        self._t2 = np.empty((g, need_n))
-        self._t3 = np.empty((g, need_n))
-        self._t4 = np.empty((g, need_n))
-        self.rat_lte = np.zeros((g, need_n), dtype=bool)
-        self._last_snap = [None] * g
-        self._last_prepared = [None] * g
-        self._last_n = [0] * g
-        self._last_view = [None] * g
-        self._last_has_view = [None] * g
-        self._sv_for_rows = None
+        shape = (self.n_rows, need_n)
+        self._raw_rsrp = np.full(shape, self._BATCH_PAD)
+        self._raw_rsrq = np.full(shape, self._BATCH_PAD)
+        self._prev_rsrp, self._prev_rsrq, self._noise_rsrp, self._noise_rsrq = (
+            np.zeros(shape) for _ in range(4)
+        )
+        self._t1, self._t2, self._t3, self._t4 = (np.empty(shape) for _ in range(4))
+        self._has = np.zeros(shape, dtype=bool)
+        self.rat_lte = np.zeros(shape, dtype=bool)
+        self._off_rsrp, self._off_rsrq = np.zeros(shape, np.intp), np.zeros(shape, np.intp)
+        self._idx = np.empty(shape, dtype=np.intp)
+        # Per-row snapshot and engine-array identity memos.
+        self._last_snap, self._last_prepared, self._last_has_view = (
+            [None] * self.n_rows for _ in range(3)
+        )
+        self._last_n = [0] * self.n_rows
+        self._sv_dirty = True
+        if self._tap.shape[1] < self._TAP_WIDTH + 2 * need_n:
+            self._widen_tap(self._TAP_WIDTH + 2 * need_n)
+
+    def _widen_tap(self, width: int) -> None:
+        """Widen every row's tap to ``width`` draws, keeping their contents."""
+        old = self._tap
+        self._tap = np.zeros((self.n_rows, width))
+        self._tap[:, : old.shape[1]] = old
+        self._tap_flat = self._tap.reshape(-1)
+        self._tap_base = np.arange(self.n_rows, dtype=np.intp)[:, None] * width
+
+    def _fill(self, row: int, eng: MeasurementEngine) -> None:
+        """Refill row ``row`` from ``eng``'s tap: unread draws first, then fresh ones."""
+        if eng._tap_lender == (self, row):
+            unread = self._tap[row, self._tap_pos[row, 0] : self._tap_end[row, 0]].copy()
+        else:
+            # Borrow the tap: the engine's unread draws move into the row.
+            if eng._tap_lender is not None:
+                eng._tap_lender[0]._give_back(eng)
+            buf = eng._noise_buf
+            unread = np.empty(0) if buf is None else buf[eng._noise_pos :]
+            eng._noise_buf, eng._noise_pos, eng._tap_lender = None, 0, (self, row)
+        if len(unread) + self._two_n[row, 0] > self._tap.shape[1]:
+            self._widen_tap(len(unread) + int(self._two_n[row, 0]))
+        tap = self._tap[row]
+        tap[: len(unread)] = unread
+        eng.rng.standard_normal(out=tap[len(unread) :])
+        self._tap_pos[row, 0], self._tap_end[row, 0] = 0, len(tap)
+
+    def _give_back(self, eng: MeasurementEngine) -> None:
+        """Hand the unread draws of the row holding ``eng``'s tap back to ``eng``."""
+        row = eng._tap_lender[1]
+        eng._noise_buf = self._tap[row, self._tap_pos[row, 0] : self._tap_end[row, 0]].copy()
+        eng._noise_pos, eng._tap_lender = 0, None
+        self._tap_pos[row, 0] = self._tap_end[row, 0] = 0
 
     def detach(self, eng: MeasurementEngine) -> None:
-        """Give ``eng`` private copies of its batch row views.
+        """Give ``eng`` private copies of its batch row views, and its tap back.
 
         Called by the fleet loop when a lane leaves the batch while the
         batch keeps stepping: the in-place matrix update would otherwise
-        mutate the engine's live filter state under it.  The copies make
-        the engine self-contained; if the lane returns, the identity
-        check fails and its row is refreshed from the engine.
+        mutate the engine's live filter state under it.  If the lane
+        returns, the identity check fails and its row is refreshed from
+        the engine.
         """
         if eng._filt_rsrp is not None:
             eng._filt_rsrp = eng._filt_rsrp.copy()
             eng._filt_rsrq = eng._filt_rsrq.copy()
             eng._has_filt = eng._has_filt.copy()
+        if eng._tap_lender is not None:
+            eng._tap_lender[0]._give_back(eng)
 
     def step(
         self,
@@ -627,90 +671,90 @@ class BatchMeasurementState:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One batched connected round; lane ``k`` lives in row ``rows[k]``.
 
-        Advances every engine's filter state and RNG and returns the
-        ``(filt_rsrp, filt_rsrq, eligible)`` matrices (the persistent
-        in-place buffers, valid until the next call; rows not in
-        ``rows`` hold garbage).  No :class:`MeasurementRound` objects
+        Advances every engine's filter state and noise tap and returns
+        the ``(filt_rsrp, filt_rsrq, eligible)`` matrices (the
+        persistent in-place buffers, valid until the next call; rows not
+        in ``rows`` hold garbage).  No :class:`MeasurementRound` objects
         are created here — :meth:`install_round` materializes them only
         for lanes that actually consume one.
         """
-        pad = self._BATCH_PAD
-        need_n = max(len(snap.prepared.cells) for snap in snaps)
-        if need_n > self.max_n:
-            self._grow(need_n)
-        raw_rsrp, raw_rsrq = self._raw_rsrp, self._raw_rsrq
-        prev_rsrp, prev_rsrq, has = self._prev_rsrp, self._prev_rsrq, self._has
-        noise_rsrp, noise_rsrq = self._noise_rsrp, self._noise_rsrq
-        last_snap, last_n = self._last_snap, self._last_n
-        last_view, last_has_view = self._last_view, self._last_has_view
-        last_prepared = self._last_prepared
-        serving_memo = self._serving_memo
-        rat_lte = self.rat_lte
-        sv_dirty = self._sv_for_rows is None or rows != self._sv_for_rows
-        for k, r in enumerate(rows):
-            eng, snap = engines[k], snaps[k]
+        if rows == self._rows:
+            changed = set(compress(count(), map(is_not, snaps, self._snaps)))
+            changed.update(compress(count(), map(is_not, map(_HAS_FILT, engines), self._has_views)))
+            changed.update(compress(count(), map(is_not, servings, self._servings)))
+        else:
+            changed = range(len(rows))
+            self._rows = list(rows)
+            self._snaps, self._has_views, self._servings = ([None] * len(rows) for _ in range(3))
+            self._advance_dirty = self._sv_dirty = True
+        if changed and max(len(snaps[k].prepared.cells) for k in changed) > self.max_n:
+            self._grow(max(len(snap.prepared.cells) for snap in snaps))
+            changed = range(len(rows))
+        for k in changed:
+            r, eng, snap, serving = rows[k], engines[k], snaps[k], servings[k]
             prepared = snap.prepared
             n = len(prepared.cells)
-            # One buffered tap read of 2n consumes the stream exactly as
-            # the per-engine path's normal(0, 1, 2n) draw (same values,
-            # same order), copied into the contiguous noise row slices.
-            z = eng._noise(2 * n)
-            noise_rsrp[r, :n] = z[:n]
-            noise_rsrq[r, :n] = z[n:]
-            if snap is not last_snap[r]:
+            if snap is not self._last_snap[r]:
                 rr, rq, _ = snap.metric_arrays()
-                raw_rsrp[r, :n] = rr
-                raw_rsrq[r, :n] = rq
-                if n < last_n[r]:
-                    raw_rsrp[r, n:last_n[r]] = pad
-                    raw_rsrq[r, n:last_n[r]] = pad
-                    # Stale noise tails are multiplied by the row's std
-                    # every tick without being rewritten; left nonzero
-                    # they grow geometrically to overflow (and drag the
-                    # full-matrix ufuncs through non-finite values).
-                    noise_rsrp[r, n:last_n[r]] = 0.0
-                    noise_rsrq[r, n:last_n[r]] = 0.0
-                last_snap[r] = snap
-                last_n[r] = n
-                if prepared is not last_prepared[r]:
-                    rat_lte[r, :n] = prepared.rat_mask(RAT.LTE)
-                    rat_lte[r, n:] = False
-                    last_prepared[r] = prepared
-            if (
-                eng._filt_rsrp is not last_view[r]
-                or eng._has_filt is not last_has_view[r]
-                or eng._aligned is not prepared
-            ):
-                # The engine's arrays were rebuilt outside the batch
-                # (reset, realignment, detach): the engine is the source
-                # of truth — refresh the row from it, then hand the
-                # engine stable views into the in-place buffers.
+                self._raw_rsrp[r, :n] = rr
+                self._raw_rsrq[r, :n] = rq
+                if n != self._last_n[r]:
+                    self._raw_rsrp[r, n:] = self._raw_rsrq[r, n:] = self._BATCH_PAD
+                    self._off_rsrp[r] = self._off_rsrq[r] = 0
+                    self._off_rsrp[r, :n] = np.arange(n)
+                    self._off_rsrq[r, :n] = np.arange(n, 2 * n)
+                    self._two_n[r, 0] = 2 * n
+                    self._advance_dirty = True
+                self._last_snap[r], self._last_n[r] = snap, n
+                if prepared is not self._last_prepared[r]:
+                    self.rat_lte[r, :n] = prepared.rat_mask(RAT.LTE)
+                    self.rat_lte[r, n:] = False
+                    self._last_prepared[r] = prepared
+            if eng._has_filt is not self._last_has_view[r] or eng._aligned is not prepared:
+                # The engine's arrays were rebuilt outside the batch: the
+                # engine is the source of truth — refresh the row from
+                # it, then hand the engine views into the buffers.
                 if eng._aligned is not prepared:
                     eng._realign(prepared)
-                prev_rsrp[r, :n] = eng._filt_rsrp
-                prev_rsrq[r, :n] = eng._filt_rsrq
-                has[r, :n] = eng._has_filt
-                has[r, n:] = False
+                self._prev_rsrp[r, :n] = eng._filt_rsrp
+                self._prev_rsrq[r, :n] = eng._filt_rsrq
+                self._has[r, :n] = eng._has_filt
+                self._has[r, n:] = False
                 self._stds[r, 0] = eng.noise_std_db
                 self._stds_half[r, 0] = eng.noise_std_db / 2.0
                 self._floors[r, 0] = eng.detection_floor_dbm
                 self._alpha[r, 0] = eng.alpha
                 self._one_minus_alpha[r, 0] = 1.0 - eng.alpha
-                view_rsrp = prev_rsrp[r, :n]
-                view_has = has[r, :n]
-                eng._filt_rsrp = view_rsrp
-                eng._filt_rsrq = prev_rsrq[r, :n]
-                eng._has_filt = view_has
-                last_view[r] = view_rsrp
-                last_has_view[r] = view_has
-            serving = servings[k]
-            memo = serving_memo[r]
+                eng._filt_rsrp = self._prev_rsrp[r, :n]
+                eng._filt_rsrq = self._prev_rsrq[r, :n]
+                eng._has_filt = self._last_has_view[r] = self._has[r, :n]
+            memo = self._serving_memo[r]
             if memo is None or memo[0] is not serving or memo[1] is not prepared:
-                serving_memo[r] = (serving, prepared, prepared.index.get(serving.cell_id))
-                sv_dirty = True
+                self._serving_memo[r] = (serving, prepared, prepared.index.get(serving.cell_id))
+                self._sv_dirty = True
+            self._snaps[k], self._has_views[k], self._servings[k] = snap, eng._has_filt, serving
+        if self._advance_dirty:
+            batched = np.array(rows, dtype=np.intp)
+            self._advance.fill(0)
+            self._advance[batched] = self._two_n[batched]
+            self._advance_dirty = False
+        # Noise: rows whose tap cannot serve this step refill, then one
+        # gather per metric reads every row's unit draws — exactly the
+        # per-engine path's z[:n] and z[n:] of one 2n tap read.
+        pos, base_pos, idx = self._tap_pos, self._base_pos, self._idx
+        for r in np.flatnonzero(pos + self._advance > self._tap_end).tolist():
+            self._fill(r, engines[rows.index(r)])
+        noise_rsrp, noise_rsrq = self._noise_rsrp, self._noise_rsrq
+        np.add(self._tap_base, pos, out=base_pos)
+        np.add(self._off_rsrp, base_pos, out=idx)
+        np.take(self._tap_flat, idx, out=noise_rsrp, mode="clip")
+        np.add(self._off_rsrq, base_pos, out=idx)
+        np.take(self._tap_flat, idx, out=noise_rsrq, mode="clip")
+        pos += self._advance
+        raw_rsrp, raw_rsrq = self._raw_rsrp, self._raw_rsrq
+        prev_rsrp, prev_rsrq, has = self._prev_rsrp, self._prev_rsrq, self._has
         # Scaling the unit draws is the same multiply the per-engine
-        # path performs (z * std, z * (std / 2)); the noise rows are
-        # consumed destructively (rewritten with fresh draws next tick).
+        # path performs (z * std, z * (std / 2)).
         np.multiply(noise_rsrp, self._stds, out=noise_rsrp)
         np.multiply(noise_rsrq, self._stds_half, out=noise_rsrq)
         t1, t2, t3, t4 = self._t1, self._t2, self._t3, self._t4
@@ -731,56 +775,36 @@ class BatchMeasurementState:
         np.multiply(self._alpha, t1, out=t4)
         np.add(t3, t4, out=t3)
         np.copyto(prev_rsrp, t1)
-        np.copyto(prev_rsrp, t3, where=has)
+        np.putmask(prev_rsrp, has, t3)
         np.multiply(self._one_minus_alpha, prev_rsrq, out=t3)
         np.multiply(self._alpha, t2, out=t4)
         np.add(t3, t4, out=t3)
         np.copyto(prev_rsrq, t2)
-        np.copyto(prev_rsrq, t3, where=has)
+        np.putmask(prev_rsrq, has, t3)
         # Eligibility replaces has in place only after the IIR selection
         # consumed last tick's values (exactly the allocating version's
         # dataflow), then serving cells are forced eligible in one
         # cached fancy-index write.
         np.greater_equal(raw_rsrp, self._floors, out=has)
-        if sv_dirty:
-            pairs = [
-                (r, serving_memo[r][2])
-                for r in rows
-                if serving_memo[r][2] is not None
-            ]
-            self._sv_rows = np.fromiter(
-                (p[0] for p in pairs), dtype=np.intp, count=len(pairs)
-            )
-            self._sv_cols = np.fromiter(
-                (p[1] for p in pairs), dtype=np.intp, count=len(pairs)
-            )
-            self._sv_for_rows = list(rows)
+        if self._sv_dirty:
+            self._sv_list = [self._serving_memo[r][2] for r in rows]
+            pairs = [(r, c) for r, c in zip(rows, self._sv_list) if c is not None]
+            self._sv_rows = np.array([p[0] for p in pairs], dtype=np.intp)
+            self._sv_cols = np.array([p[1] for p in pairs], dtype=np.intp)
+            self._sv_dirty = False
         has[self._sv_rows, self._sv_cols] = True
         return prev_rsrp, prev_rsrq, has
 
-    def serving_columns(self, rows: list[int]) -> list[int | None]:
-        """Each row's serving-cell column at the last :meth:`step` (None: inaudible)."""
-        memo = self._serving_memo
-        return [memo[r][2] for r in rows]
+    def serving_columns(self) -> list[int | None]:
+        """The last :meth:`step`'s serving column per row (None: inaudible).
 
-    def install_round(
-        self,
-        row: int,
-        eng: MeasurementEngine,
-        neighbor_masks: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """Make row ``row`` of the last :meth:`step` ``eng``'s pending round.
-
-        ``neighbor_masks``, full-width (intra-RAT, inter-RAT) candidate
-        rows, become the round's cached
-        :meth:`MeasurementRound.neighbor_masks` for the serving cell.
+        A new list whenever a column changes, the same object otherwise.
         """
-        prepared = eng._aligned
-        n = len(prepared.cells)
-        round_ = MeasurementRound(
-            prepared, self._prev_rsrp[row, :n], self._prev_rsrq[row, :n], self._has[row, :n]
+        return self._sv_list
+
+    def install_round(self, row: int, eng: MeasurementEngine) -> None:
+        """Make row ``row`` of the last :meth:`step` ``eng``'s pending round."""
+        n = len(eng._aligned.cells)
+        eng._pending_round = MeasurementRound(
+            eng._aligned, self._prev_rsrp[row, :n], self._prev_rsrq[row, :n], self._has[row, :n]
         )
-        if neighbor_masks is not None:
-            intra, inter = neighbor_masks
-            round_._masks[self._serving_memo[row][0].cell_id] = (intra[:n], inter[:n])
-        eng._pending_round = round_

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cellnet.cell import Cell, CellId
+from repro.cellnet.cell import CellId
 from repro.config.events import (
     EventConfig,
     EventType,
@@ -54,6 +54,18 @@ class TriggeredReport:
 _SERVING_KEY = CellId("", -1)
 
 
+def _best_first(
+    config: EventConfig, serving: FilteredMeasurement, neighbors: list[FilteredMeasurement]
+) -> TriggeredReport:
+    """The report of ``neighbors`` firing ``config``, best first by its metric."""
+    return TriggeredReport(
+        config.event,
+        config,
+        serving,
+        tuple(sorted(neighbors, key=lambda m: (-m.metric(config.metric), m.cell.cell_id))),
+    )
+
+
 @dataclass
 class _EventState:
     """TTT and reporting state of one armed event."""
@@ -73,17 +85,12 @@ class EventMonitor:
         events = meas_config.events
         self._states = [_EventState(config=e) for e in events]
         self._last_periodic_ms: int | None = None
-        #: Entry masks precomputed by :func:`step_events_batch`, aligned
-        #: with ``_states`` (None per slot = condition holds nowhere).
-        #: Consumed (and cleared) by the next :meth:`step_round` call
-        #: instead of recomputing per monitor.
-        self._injected_entries: list | None = None
-        #: The armed ``(event, metric)`` pairs: :func:`step_events_batch`
-        #: evaluates monitors with equal signatures in one matrix pass.
+        #: The armed ``(event, metric)`` pairs, in arming order: the
+        #: batched quiet pass gives each occurrence its own slot.
         self.signature = tuple((c.event, c.metric) for c in events)
         #: One ``[hysteresis, threshold1, threshold2, offset]`` row per
         #: armed event (absent thresholds as NaN; their events never
-        #: read them), stacked into per-member columns by the batch.
+        #: read them), laid into per-member columns by the batch.
         self.entry_params = np.array(
             [(c.hysteresis, c.threshold1, c.threshold2, c.offset) for c in events],
             dtype=np.float64,
@@ -117,12 +124,30 @@ class EventMonitor:
         for state in self._states:
             if state.entry_since or state.reported:
                 return False
+        return not self._periodic_due(now_ms, gate_open)
+
+    def _periodic_due(self, now_ms: int, gate_open: bool) -> bool:
+        """Whether a periodic report is due (it needs the s-Measure gate open)."""
         periodic = self.meas_config.periodic
-        if periodic is not None and gate_open:
-            last = self._last_periodic_ms
-            if last is None or now_ms - last >= periodic.report_interval_ms:
-                return False
-        return True
+        last = self._last_periodic_ms
+        return (
+            periodic is not None
+            and gate_open
+            and (last is None or now_ms - last >= periodic.report_interval_ms)
+        )
+
+    def _periodic_report(
+        self, now_ms: int, serving: FilteredMeasurement, neighbors: list[FilteredMeasurement]
+    ) -> TriggeredReport:
+        """The due periodic report of the strongest ``neighbors``, best first."""
+        periodic = self.meas_config.periodic
+        self._last_periodic_ms = now_ms
+        return TriggeredReport(
+            EventType.PERIODIC,
+            periodic.as_event_config(),
+            serving,
+            tuple(neighbors[: periodic.max_report_cells]),
+        )
 
     def step(
         self,
@@ -136,20 +161,23 @@ class EventMonitor:
         gate_open = self.s_measure_gate_open(serving)
         for state in self._states:
             config = state.config
-            candidates: list[FilteredMeasurement | None]
             if not config.event.needs_neighbor:
-                candidates = [None]
+                if self._step_serving_only(now_ms, state, serving):
+                    reports.append(TriggeredReport(config.event, config, serving, ()))
+                continue
+            if not gate_open:
+                candidates = []
             elif config.event.is_inter_rat:
-                candidates = list(inter_rat_neighbors) if gate_open else []
+                candidates = inter_rat_neighbors
             else:
-                candidates = list(intra_rat_neighbors) if gate_open else []
+                candidates = intra_rat_neighbors
             fired: list[FilteredMeasurement] = []
             seen_keys: set[CellId] = set()
+            serving_value = serving.metric(config.metric)
             for neighbor in candidates:
-                key = _SERVING_KEY if neighbor is None else neighbor.cell.cell_id
+                key = neighbor.cell.cell_id
                 seen_keys.add(key)
-                serving_value = serving.metric(config.metric)
-                neighbor_value = None if neighbor is None else neighbor.metric(config.metric)
+                neighbor_value = neighbor.metric(config.metric)
                 if key in state.reported:
                     if evaluate_leave(config, serving_value, neighbor_value):
                         state.reported.discard(key)
@@ -159,46 +187,18 @@ class EventMonitor:
                     started = state.entry_since.setdefault(key, now_ms)
                     if now_ms - started >= config.time_to_trigger_ms:
                         state.reported.add(key)
-                        if neighbor is not None:
-                            fired.append(neighbor)
-                        else:
-                            fired.append(serving)
+                        fired.append(neighbor)
                 elif evaluate_leave(config, serving_value, neighbor_value):
                     state.entry_since.pop(key, None)
             # Neighbors that disappeared from measurement: clear state.
             for key in [k for k in state.entry_since if k not in seen_keys]:
                 del state.entry_since[key]
-            state.reported &= seen_keys | ({_SERVING_KEY} & state.reported)
+            state.reported &= seen_keys
             if fired:
-                neighbors = tuple(
-                    m for m in fired if m.cell.cell_id != serving.cell.cell_id
-                )
-                reports.append(
-                    TriggeredReport(
-                        event=config.event,
-                        config=config,
-                        serving=serving,
-                        neighbors=tuple(
-                            sorted(neighbors, key=lambda m: (-m.metric(config.metric), m.cell.cell_id))
-                        ),
-                    )
-                )
-        periodic = self.meas_config.periodic
-        if periodic is not None and gate_open and intra_rat_neighbors:
-            due = (
-                self._last_periodic_ms is None
-                or now_ms - self._last_periodic_ms >= periodic.report_interval_ms
-            )
-            if due:
-                self._last_periodic_ms = now_ms
-                reports.append(
-                    TriggeredReport(
-                        event=EventType.PERIODIC,
-                        config=periodic.as_event_config(),
-                        serving=serving,
-                        neighbors=tuple(intra_rat_neighbors[: periodic.max_report_cells]),
-                    )
-                )
+                fired = [m for m in fired if m.cell.cell_id != serving.cell.cell_id]
+                reports.append(_best_first(config, serving, fired))
+        if intra_rat_neighbors and self._periodic_due(now_ms, gate_open):
+            reports.append(self._periodic_report(now_ms, serving, intra_rat_neighbors))
         return reports
 
     def _step_serving_only(
@@ -235,8 +235,6 @@ class EventMonitor:
         never.
         """
         reports: list[TriggeredReport] = []
-        injected = self._injected_entries
-        self._injected_entries = None
         gate_open = self.s_measure_gate_open(serving)
         prepared = round_.prepared
         cell_ids = prepared.cell_ids
@@ -245,18 +243,11 @@ class EventMonitor:
             intra_cand, inter_cand = round_.neighbor_masks(serving.cell)
         else:
             intra_cand = inter_cand = None
-        for state_i, state in enumerate(self._states):
+        for state in self._states:
             config = state.config
             if not config.event.needs_neighbor:
                 if self._step_serving_only(now_ms, state, serving):
-                    reports.append(
-                        TriggeredReport(
-                            event=config.event,
-                            config=config,
-                            serving=serving,
-                            neighbors=(),
-                        )
-                    )
+                    reports.append(TriggeredReport(config.event, config, serving, ()))
                 continue
             cand = inter_cand if config.event.is_inter_rat else intra_cand
             serving_value = serving.metric(config.metric)
@@ -266,24 +257,17 @@ class EventMonitor:
                 # One masked array pass over the whole prepared cell
                 # list; only positions where the entry condition holds
                 # (on a steady drive: almost none) cost Python work.
-                # When the batched pass already computed this event's
-                # entry row (bit-identical: the same entry_mask broadcast
-                # over the UE axis), consume it instead; a None slot
-                # means the condition holds nowhere this round.
                 values = round_.metric_values(config.metric)
-                if injected is not None:
-                    entry = injected[state_i]
-                else:
-                    entry = entry_mask(
-                        config.event,
-                        serving_value,
-                        values,
-                        config.hysteresis,
-                        config.threshold1,
-                        config.threshold2,
-                        config.offset,
-                    ) & cand
-                for i in () if entry is None else np.flatnonzero(entry):
+                entry = entry_mask(
+                    config.event,
+                    serving_value,
+                    values,
+                    config.hysteresis,
+                    config.threshold1,
+                    config.threshold2,
+                    config.offset,
+                ) & cand
+                for i in np.flatnonzero(entry):
                     key = cell_ids[i]
                     if key in state.reported:
                         # Entry and leave are mutually exclusive (hys
@@ -299,8 +283,6 @@ class EventMonitor:
             # on a steady drive — so they are consulted scalar-wise.
             if state.reported:
                 for key in list(state.reported):
-                    if key == _SERVING_KEY:
-                        continue
                     i = index.get(key)
                     if cand is None or i is None or not cand[i]:
                         # Disappeared from this round's candidates:
@@ -314,7 +296,7 @@ class EventMonitor:
                         state.entry_since.pop(key, None)
             if state.entry_since:
                 for key in list(state.entry_since):
-                    if key in state.reported or key == _SERVING_KEY:
+                    if key in state.reported:
                         continue
                     i = index.get(key)
                     if cand is None or i is None or not cand[i]:
@@ -325,43 +307,46 @@ class EventMonitor:
                     if evaluate_leave(config, serving_value, float(values[i])):
                         del state.entry_since[key]
             if fired:
-                neighbors = [round_.measurement_at(i) for i in fired]
                 reports.append(
-                    TriggeredReport(
-                        event=config.event,
-                        config=config,
-                        serving=serving,
-                        neighbors=tuple(
-                            sorted(
-                                neighbors,
-                                key=lambda m: (-m.metric(config.metric), m.cell.cell_id),
-                            )
-                        ),
-                    )
+                    _best_first(config, serving, [round_.measurement_at(i) for i in fired])
                 )
-        periodic = self.meas_config.periodic
-        if periodic is not None and intra_cand is not None:
-            due = (
-                self._last_periodic_ms is None
-                or now_ms - self._last_periodic_ms >= periodic.report_interval_ms
-            )
-            # The best-first sort is only paid when a report is due and
-            # there is at least one intra-RAT neighbor to report.
-            if due and intra_cand.any():
-                self._last_periodic_ms = now_ms
-                intra_idx, _ = round_.neighbor_order(serving.cell)
-                reports.append(
-                    TriggeredReport(
-                        event=EventType.PERIODIC,
-                        config=periodic.as_event_config(),
-                        serving=serving,
-                        neighbors=tuple(
-                            round_.measurement_at(i)
-                            for i in intra_idx[: periodic.max_report_cells]
-                        ),
-                    )
-                )
+        # The best-first sort is only paid when a report is due and
+        # there is at least one intra-RAT neighbor to report.
+        if self._periodic_due(now_ms, gate_open) and intra_cand.any():
+            intra_idx, _ = round_.neighbor_order(serving.cell)
+            intra_idx = intra_idx[: self.meas_config.periodic.max_report_cells]
+            neighbors = [round_.measurement_at(i) for i in intra_idx]
+            reports.append(self._periodic_report(now_ms, serving, neighbors))
         return reports
+
+
+class _MemberPlan:
+    """Who the batched quiet pass evaluates, and with which parameters.
+
+    Kept while the batched rows, their serving columns (None: inaudible)
+    and monitors (None: no events armed, or a handover pending) repeat
+    tick over tick.  Each armed ``(event, metric, occurrence)`` slot of
+    any member holds one ``(member, 1)`` column per :func:`entry_mask`
+    parameter; a member that does not arm the slot holds NaN there, so
+    every comparison of its row is False.
+    """
+
+    def __init__(self, rows: list[int], cols: list, monitors: list):
+        self.rows, self.cols, self.monitors = list(rows), cols, monitors
+        inside = [mon is not None and col is not None for mon, col in zip(monitors, cols)]
+        self.outsiders = [k for k, ok in enumerate(inside) if not ok]
+        self.members = [(k, monitors[k]) for k, ok in enumerate(inside) if ok]
+        self.mrows = np.array([rows[k] for k, _ in self.members], dtype=np.intp)
+        self.scols = np.array([cols[k] for k, _ in self.members], dtype=np.intp)
+        self.gates = np.array([mon.meas_config.s_measure for _, mon in self.members])
+        params: dict[tuple, np.ndarray] = {}
+        for i, (_, monitor) in enumerate(self.members):
+            for e_i, pair in enumerate(monitor.signature):
+                slot = pair + (monitor.signature[:e_i].count(pair),)
+                if slot not in params:
+                    params[slot] = np.full((len(self.members), 4), np.nan)
+                params[slot][i] = monitor.entry_params[e_i]
+        self.slots = [(event, metric, *p.T[:, :, None]) for (event, metric, _), p in params.items()]
 
 
 def step_events_batch(
@@ -373,82 +358,71 @@ def step_events_batch(
     filt_rsrq: np.ndarray,
     eligible: np.ndarray,
 ) -> None:
-    """The event step of many connected UEs' next ticks, as matrix passes.
+    """The quiet verdicts of many connected UEs' next ticks, in one pass.
 
     ``state`` has just stepped UE ``k``'s round in row ``rows[k]``
     (``filt_rsrp``, ``filt_rsrq`` and ``eligible`` are its output).  A
     UE whose monitor is :meth:`EventMonitor.quiet` is marked quiet
     (:meth:`~repro.ue.device.UserEquipment.mark_quiet`); every other
-    UE's engine gets its round installed, with the neighbor masks and
-    entry rows :meth:`EventMonitor.step_round` would compute.
+    UE's engine gets its round installed, and its own
+    :meth:`EventMonitor.step_round` evaluates it as in a solo drive.
 
-    Monitors are grouped by :attr:`EventMonitor.signature`, not by
-    neighborhood: parked UEs scatter over dozens of prepared lists,
-    while a carrier arms only a handful of signatures.  Per-config
-    parameters become per-member columns of :func:`entry_mask`, so each
-    UE's rows and verdict are bit-identical to its own step's.
+    The pass costs a fixed number of array operations per armed slot,
+    whatever the mix of monitors: one :func:`entry_mask` per slot over
+    all members (per-member parameter columns, NaN where a member does
+    not arm the slot), reduced to one any-entry flag per member.  The
+    member plan is rebuilt only when the rows, a serving column or a
+    monitor changes.  Each verdict is bit-identical to what the UE's
+    own step would compute.
     """
-    serving_cols = state.serving_columns(rows)
-    groups: dict[tuple, list[tuple]] = {}
-    for k, ue in enumerate(ues):
-        monitor = ue.monitor
-        col = serving_cols[k]
-        if monitor is None or ue.pending_handover is not None or col is None:
-            # Nothing to batch (no events armed, or a handover pending),
-            # or the serving cell is inaudible and the UE's own step
-            # handles the radio link failure.
-            state.install_round(rows[k], ue.meas)
-        else:
-            groups.setdefault(monitor.signature, []).append((k, col, monitor))
-    rat_lte = state.rat_lte
-    for signature, members in groups.items():
-        m = len(members)
-        mrows = np.fromiter((rows[t[0]] for t in members), dtype=np.intp, count=m)
-        scols = np.fromiter((t[1] for t in members), dtype=np.intp, count=m)
-        params = np.stack([t[2].entry_params for t in members])  # (m, events, 4)
-        gates = np.fromiter(
-            (t[2].meas_config.s_measure for t in members), dtype=np.float64, count=m
-        )
-        serving = {"rsrp": filt_rsrp[mrows, scols], "rsrq": filt_rsrq[mrows, scols]}
-        # The s-Measure gate, one comparison for the whole group
-        # (exactly the per-monitor check).
-        gate_open = serving["rsrp"] <= gates
+    cols = state.serving_columns()
+    monitors = [None if ue.pending_handover is not None else ue.monitor for ue in ues]
+    plan = state.event_plan
+    if plan is None or plan.cols != cols or plan.monitors != monitors or plan.rows != rows:
+        plan = state.event_plan = _MemberPlan(rows, cols, monitors)
+    for k in plan.outsiders:
+        # Nothing to batch (no events armed, or a handover pending), or
+        # the serving cell is inaudible and the UE's own step handles
+        # the radio link failure.
+        state.install_round(rows[k], ues[k].meas)
+    if not plan.members:
+        return
+    mrows, scols = plan.mrows, plan.scols
+    serving = {"rsrp": filt_rsrp[mrows, scols], "rsrq": filt_rsrq[mrows, scols]}
+    # The s-Measure gate, one comparison for all members (exactly the
+    # per-monitor check).
+    gate_open = serving["rsrp"] <= plan.gates
+    any_entry = np.zeros(len(mrows), dtype=bool)
+    values = None
+    # OR of the neighbor slots' entry rows per candidate class (intra-,
+    # inter-RAT): masking the OR once equals masking every row.
+    hot: list = [None, None]
+    for event, metric, hys, th1, th2, offset in plan.slots:
+        if not event.needs_neighbor:
+            any_entry |= entry_mask(event, serving[metric][:, None], None, hys, th1, th2, offset)[:, 0]
+            continue
+        if values is None:
+            values = {"rsrp": filt_rsrp[mrows], "rsrq": filt_rsrq[mrows]}
+        entry = entry_mask(event, serving[metric][:, None], values[metric], hys, th1, th2, offset)
+        inter = event.is_inter_rat
+        hot[inter] = entry if hot[inter] is None else hot[inter] | entry
+    if values is not None:
         # Neighbor candidates: eligibility minus the serving column,
         # zeroed wholesale for gate-closed members (step_round hands
         # them no candidates, so their neighbor events never fire).
         base = eligible[mrows]  # fancy indexing copies
-        base[np.arange(m), scols] = False
+        base[np.arange(len(mrows)), scols] = False
         base &= gate_open[:, None]
-        ratm = rat_lte[mrows]
-        intra = base & ratm
-        inter = base & ~ratm
-        values = {"rsrp": filt_rsrp[mrows], "rsrq": filt_rsrq[mrows]}
-        #: Per member: does ANY armed event's entry condition hold?
-        any_entry = np.zeros(m, dtype=bool)
-        entries: list = [None] * len(signature)
-        for e_i, (event, metric) in enumerate(signature):
-            hys, th1, th2, offset = (params[:, e_i, j, None] for j in range(4))
-            entry = entry_mask(
-                event, serving[metric][:, None], values[metric], hys, th1, th2, offset
-            )
-            if event.needs_neighbor:
-                entry &= inter if event.is_inter_rat else intra
-                hot = entry.any(axis=1)
-                if hot.any():
-                    any_entry |= hot
-                    entries[e_i] = (entry, hot)
-            else:
-                any_entry |= entry[:, 0]
-        opens, entered = gate_open.tolist(), any_entry.tolist()
-        rsrp, rsrq = serving["rsrp"].tolist(), serving["rsrq"].tolist()
-        for o_i, (k, _, monitor) in enumerate(members):
-            ue = ues[k]
-            if monitor.quiet(now_ms, opens[o_i], entered[o_i]):
-                ue.mark_quiet(rsrp[o_i], rsrq[o_i])
-            elif opens[o_i]:
-                state.install_round(rows[k], ue.meas, (intra[o_i], inter[o_i]))
-                monitor._injected_entries = [
-                    e[0][o_i] if e is not None and e[1][o_i] else None for e in entries
-                ]
-            else:
-                state.install_round(rows[k], ue.meas)
+        lte = state.rat_lte[mrows]
+        for entry, candidates in zip(hot, (lte, ~lte)):
+            if entry is not None:
+                entry &= candidates
+                entry &= base
+                any_entry |= entry.any(axis=1)
+    opens, entered = gate_open.tolist(), any_entry.tolist()
+    rsrp, rsrq = serving["rsrp"].tolist(), serving["rsrq"].tolist()
+    for i, (k, monitor) in enumerate(plan.members):
+        if monitor.quiet(now_ms, opens[i], entered[i]):
+            ues[k].mark_quiet(rsrp[i], rsrq[i])
+        else:
+            state.install_round(rows[k], ues[k].meas)

@@ -1,7 +1,9 @@
 """Tests for the radio environment."""
 
-import numpy as np
+import math
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.cellnet.rat import RAT
 
@@ -99,6 +101,49 @@ def test_co_channel_interferers_match_bruteforce(env, scenario):
         assert env.co_channel_interferers(cell, origin) == expected
 
 
+@seed(20410)
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_cells_near_matches_scalar_rule(env, data):
+    """Membership is ``distance_to(location) <= radius``, to the last bit.
+
+    Radii exactly at a cell's distance (and one ulp either side of it)
+    exercise the band the squared-distance prefilter re-checks.
+    """
+    cells = sorted(env.registry, key=lambda c: c.cell_id)
+    anchor = data.draw(st.sampled_from(cells))
+    location = anchor.location.offset(
+        data.draw(st.floats(-3000.0, 3000.0)), data.draw(st.floats(-3000.0, 3000.0))
+    )
+    carrier = data.draw(st.one_of(st.none(), st.sampled_from(sorted({c.carrier for c in cells}))))
+    edge = data.draw(st.sampled_from(cells)).location.distance_to(location)
+    radius = data.draw(st.one_of(
+        st.floats(0.0, 8000.0),
+        st.just(edge),
+        st.just(math.nextafter(edge, -math.inf)),
+        st.just(math.nextafter(edge, math.inf)),
+        st.just(0.0),
+    ))
+    expected = [
+        c for c in cells
+        if (carrier is None or c.carrier == carrier)
+        and c.location.distance_to(location) <= radius
+    ]
+    assert env.cells_near(location, carrier=carrier, radius_m=radius) == expected
+
+
+def test_cells_near_includes_a_cell_exactly_at_the_radius(env, scenario):
+    origin = scenario.cities[0].origin
+    cell = env.cells_near(origin, carrier="A")[3]
+    exact = cell.location.distance_to(origin)
+    assert cell in env.cells_near(origin, carrier="A", radius_m=exact)
+    assert cell not in env.cells_near(origin, carrier="A", radius_m=math.nextafter(exact, 0.0))
+    # Sector cells share their site's location.
+    site = env.cells_near(cell.location, radius_m=0.0)
+    assert cell in site
+    assert all(c.location == cell.location for c in site)
+
+
 def _fresh_env(scenario, cache_size):
     from repro.cellnet.world import RadioEnvironment
 
@@ -111,6 +156,33 @@ def _far_apart_points(scenario, n):
     origin = scenario.cities[0].origin
     # 400 m apart: each lands in its own 200 m snapshot-cache square.
     return [origin.offset(400.0 * i, 0.0) for i in range(n)]
+
+
+@pytest.mark.parametrize("cache_size", [3, 5, 64])
+def test_snapshot_batch_counts_like_per_spot_lookups(scenario, cache_size):
+    # Grid keys repeat out of order and some are already cached; a
+    # small LRU evicts mid-chunk, and a chunk wider than the LRU takes
+    # its spots one by one.  Counters, LRU order and every snapshot
+    # must match one prepared_for call per spot.
+    points = _far_apart_points(scenario, 6)
+    spots = [(points[i], "A") for i in (0, 1, 0, 2, 1, 0, 3)]
+    batched, single = _fresh_env(scenario, cache_size), _fresh_env(scenario, cache_size)
+    for env in (batched, single):
+        for i in (4, 5, 2, 0):
+            env.prepared_for(points[i], "A")
+    snaps = batched.snapshot_batch(spots)
+    for location, carrier in spots:
+        single.prepared_for(location, carrier)
+    stats = batched.snapshot_cache_stats()
+    assert stats == single.snapshot_cache_stats()
+    assert stats["hits"] + stats["misses"] == 4 + len(spots)
+    assert list(batched._snapshot_cache) == list(single._snapshot_cache)
+    for (location, carrier), snap in zip(spots, snaps):
+        want = single.snapshot(location, carrier)
+        assert snap.prepared.cell_ids == want.prepared.cell_ids
+        assert [a.tolist() for a in snap.metric_arrays()] == [
+            a.tolist() for a in want.metric_arrays()
+        ]
 
 
 def test_snapshot_cache_evicts_least_recently_used(scenario):

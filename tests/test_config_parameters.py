@@ -44,6 +44,18 @@ def test_spec_by_name_unknown_raises():
         spec_by_name(RAT.LTE, "nonexistent_parameter")
 
 
+def test_spec_by_name_unknown_message_names_rat_and_parameter():
+    with pytest.raises(KeyError) as info:
+        spec_by_name(RAT.GSM, "a3_offset")
+    assert info.value.args == ("unknown GSM parameter 'a3_offset'",)
+
+
+def test_spec_by_name_resolves_every_registered_spec():
+    for rat, specs in REGISTRY.items():
+        for spec in specs:
+            assert spec_by_name(rat, spec.name) is spec
+
+
 def test_idle_plus_active_partition():
     idle = idle_state_parameters(RAT.LTE)
     active = active_state_parameters(RAT.LTE)

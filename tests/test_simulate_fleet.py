@@ -34,7 +34,7 @@ from repro.simulate import fleet as fleet_module
 from repro.simulate.runner import DriveLane, DriveSimulator
 from repro.simulate.scenarios import ScenarioSpec
 from repro.ue.device import HandoffEvent, UserEquipment
-from repro.ue.measurement import MeasurementEngine
+from repro.ue.measurement import BatchMeasurementState, MeasurementEngine
 
 #: Small-world spec matching the session ``scenario`` fixture; the
 #: process-level cache makes repeated ``build()`` calls free.
@@ -118,6 +118,39 @@ def test_fleet_ue_matches_solo_drive(fleet_results, traffic):
         assert solo.ping_rtts_ms == ue.ping_rtts_ms
     if traffic == "ping":
         assert any(ue.ping_rtts_ms for ue in results)
+
+
+def test_lane_rejoining_batch_mid_slab_matches_solo(monkeypatch):
+    # A handover takes a lane out of the batch for its execution tick
+    # while its batch row still holds unread noise draws; the row hands
+    # them back and borrows the tap again when the lane rejoins.  Every
+    # such lane must still equal its solo drive byte for byte.
+    mid_slab: set[int] = set()
+    rejoined: set[int] = set()
+    detach, fill = BatchMeasurementState.detach, BatchMeasurementState._fill
+
+    def spy_detach(self, eng):
+        if eng._tap_lender is not None:
+            mid_slab.add(id(eng))
+        detach(self, eng)
+
+    def spy_fill(self, row, eng):
+        if id(eng) in mid_slab:
+            rejoined.add(id(eng))
+        fill(self, row, eng)
+
+    monkeypatch.setattr(BatchMeasurementState, "detach", spy_detach)
+    monkeypatch.setattr(BatchMeasurementState, "_fill", spy_fill)
+    options = _options(n_ues=4, duration_s=90.0, mix=(("vehicle", 1.0),))
+    scenario = options.scenario.build()
+    results = FleetSimulator(scenario, options).simulate()
+    assert rejoined
+    for spec in ue_specs(options):
+        solo = DriveSimulator(
+            scenario.env, scenario.server, spec.carrier, seed=spec.seed, config_lint=False
+        ).run(trajectory_for(scenario, options, spec), make_traffic(options.traffic))
+        assert solo.diag_log == results[spec.index].diag_log, f"UE {spec.index}"
+        assert solo.handoffs == results[spec.index].handoffs
 
 
 def test_fleet_size_does_not_change_members(fleet_results):
